@@ -1,5 +1,6 @@
 #include "core/collection.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -75,6 +76,7 @@ void CollectionState::begin_window(std::size_t window_index) {
         cfg_.observer_round_offset + phase_start_ + w.start);
   }
   start_schedule_.clear();
+  start_cursor_ = 0;
   relay_packet_.reset();
   relay_ack_.reset();
   ack_queue_.clear();
@@ -85,11 +87,32 @@ void CollectionState::begin_window(std::size_t window_index) {
     if (own_packets_[i].acked) continue;
     for (std::uint32_t c = 0; c < w.copies; ++c) {
       const std::uint64_t slot = 1 + rng_->next_below(w.slots);
-      // First packet assigned to a slot keeps it ("the node unicasts only
-      // one of them, selected arbitrarily").
-      start_schedule_.emplace(window_start + (slot - 1), i);
+      start_schedule_.push_back({window_start + (slot - 1), i});
     }
   }
+  // First packet assigned to a slot keeps it ("the node unicasts only one
+  // of them, selected arbitrarily"): a stable sort keeps draw order within
+  // a slot and unique keeps the first entry of each run.
+  const auto by_round = [](const StartSlot& a, const StartSlot& b) {
+    return a.round < b.round;
+  };
+  std::stable_sort(start_schedule_.begin(), start_schedule_.end(), by_round);
+  start_schedule_.erase(
+      std::unique(start_schedule_.begin(), start_schedule_.end(),
+                  [](const StartSlot& a, const StartSlot& b) { return a.round == b.round; }),
+      start_schedule_.end());
+}
+
+const CollectionState::StartSlot* CollectionState::start_at(std::uint64_t rel_round) {
+  while (start_cursor_ < start_schedule_.size() &&
+         start_schedule_[start_cursor_].round < rel_round) {
+    ++start_cursor_;
+  }
+  if (start_cursor_ < start_schedule_.size() &&
+      start_schedule_[start_cursor_].round == rel_round) {
+    return &start_schedule_[start_cursor_];
+  }
+  return nullptr;
 }
 
 void CollectionState::advance(std::uint64_t rel_round) {
@@ -159,16 +182,16 @@ std::optional<radio::MessageBody> CollectionState::on_transmit(std::uint64_t rel
     // starting an own packet (dropping a half-delivered packet wastes the
     // path progress already made; the skipped own start is retried by a
     // later window or phase).
+    const StartSlot* const start = start_at(rel_round);
     if (relay_packet_.has_value() && relay_round_ == rel_round) {
       radio::Packet packet = std::move(*relay_packet_);
       relay_packet_.reset();
-      if (start_schedule_.count(rel_round) != 0) ++start_conflicts_;
+      if (start != nullptr) ++start_conflicts_;
       RC_ASSERT(parent_.has_value());  // only tree members schedule relays
       return radio::DataMsg{std::move(packet), *parent_};
     }
-    const auto it = start_schedule_.find(rel_round);
-    if (it != start_schedule_.end() && parent_.has_value()) {
-      const OwnPacket& op = own_packets_[it->second];
+    if (start != nullptr && parent_.has_value()) {
+      const OwnPacket& op = own_packets_[start->packet];
       if (!op.acked) {
         radio::Packet copy;
         copy.id = op.packet.id;
@@ -195,6 +218,38 @@ std::optional<radio::MessageBody> CollectionState::on_transmit(std::uint64_t rel
     return ack;
   }
   return std::nullopt;
+}
+
+std::uint64_t CollectionState::next_active_round(std::uint64_t rel_round) const {
+  if (finished_) return radio::NodeProtocol::kIdleUntilReception;
+  const std::uint64_t next = rel_round + 1;
+  if (rel_round >= grab_end_) {
+    // Alarm window: a relay draws Decay every round, a silent node waits
+    // for the phase boundary (or for the alarm to reach it).
+    return alarm_.flooding() ? next : phase_end_;
+  }
+  // Grabbing epoch: nothing happens past the next window or the alarm.
+  std::uint64_t wake = window_index_ + 1 < windows_.size()
+                           ? phase_start_ + windows_[window_index_ + 1].start
+                           : grab_end_;
+  // Relay forwards need no term: each is scheduled by a reception for the
+  // very next round, and the engine asks a node again after any reception.
+  const GatherWindow& w = windows_[window_index_];
+  const std::uint64_t up_end = phase_start_ + w.start + w.up_rounds;
+  if (parent_.has_value() && next < up_end) {
+    // on_transmit moved the cursor to the first start at or after
+    // rel_round, so the next start after it is at most one entry further.
+    std::size_t i = start_cursor_;
+    if (i < start_schedule_.size() && start_schedule_[i].round < next) ++i;
+    if (i < start_schedule_.size()) wake = std::min(wake, start_schedule_[i].round);
+  }
+  if (is_root_ && !ack_queue_.empty()) {
+    // The root sends acknowledgment i at offset 3i of the ack window.
+    std::uint64_t index = 0;
+    if (next > up_end) index = (next - up_end + 2) / 3;
+    if (index < ack_queue_.size()) wake = std::min(wake, up_end + 3 * index);
+  }
+  return wake;
 }
 
 void CollectionState::on_receive(std::uint64_t rel_round, const radio::Message& msg) {

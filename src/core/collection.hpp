@@ -64,6 +64,14 @@ class CollectionState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Idle-skipping hint, valid right after on_transmit(rel_round): the
+  /// earliest relative round at which on_transmit may act again if nothing
+  /// is received meanwhile (see radio::NodeProtocol::set_next_active_round).
+  /// That is the next own start slot, root acknowledgment or alarm relay
+  /// round, capped at the next window, alarm or phase boundary so every
+  /// phase and epoch callback fires on time.
+  std::uint64_t next_active_round(std::uint64_t rel_round) const;
+
   /// Optional payload-buffer pool for outgoing DataMsg copies (usually the
   /// owning node's NodeProtocol::payload_arena). Null => heap-allocate,
   /// byte-identical either way.
@@ -99,9 +107,18 @@ class CollectionState {
     bool acked = false;
   };
 
+  /// One own-packet start: the relative round and the own packet index.
+  struct StartSlot {
+    std::uint64_t round;
+    std::size_t packet;
+  };
+
   void advance(std::uint64_t rel_round);
   void begin_phase(std::uint64_t phase_start);
   void begin_window(std::size_t window_index);
+  /// The start scheduled at `rel_round`, or null. Moves the cursor past
+  /// earlier slots, so calls must come with non-decreasing rounds.
+  const StartSlot* start_at(std::uint64_t rel_round);
   /// Index of the gather window containing `offset` (relative to the
   /// grabbing epoch), or npos if `offset` is in the alarm window.
   static constexpr std::size_t kAlarm = static_cast<std::size_t>(-1);
@@ -129,8 +146,11 @@ class CollectionState {
   std::uint64_t finished_at_ = 0;
 
   // Per-window state.
-  /// start slot (rel round, absolute within stage) -> own packet index.
-  std::unordered_map<std::uint64_t, std::size_t> start_schedule_;
+  /// This window's own-packet starts sorted by round (rel round, absolute
+  /// within stage), one per round: the first packet drawn for a slot keeps
+  /// it. start_cursor_ is the first entry not yet behind the clock.
+  std::vector<StartSlot> start_schedule_;
+  std::size_t start_cursor_ = 0;
   /// In-flight relay forward: packet to send at `relay_round`.
   std::optional<radio::Packet> relay_packet_;
   std::uint64_t relay_round_ = 0;

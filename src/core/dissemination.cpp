@@ -232,6 +232,35 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
   return msg;
 }
 
+std::uint64_t DisseminationState::next_active_round(std::uint64_t rel_round) const {
+  constexpr std::uint64_t kIdle = radio::NodeProtocol::kIdleUntilReception;
+  if (!group_count_known_ || !dist_.has_value() || (!is_root_ && *dist_ == 0)) {
+    return kIdle;
+  }
+  const std::uint64_t phase_len = cfg_.rc.dissem_phase_rounds;
+  const std::uint64_t spacing = cfg_.rc.group_spacing;
+  const std::uint64_t next = rel_round + 1;
+  const std::uint64_t phase = next / phase_len;
+  const std::uint64_t off = next % phase_len;
+  // Group j is the root's to inject (and layer d's to forward) in phase
+  // slot_base_ + spacing·j; every other phase is silent.
+  std::uint64_t group = 0;
+  if (phase >= slot_base_) {
+    const std::uint64_t rel_phase = phase - slot_base_;
+    group = rel_phase / spacing;
+    if (rel_phase % spacing == 0 && group < group_count_) {
+      const GroupState& gs = groups_[group];
+      const bool acts = is_root_ ? off < gs.size : gs.complete && off < forward_rounds_;
+      if (acts) return next;
+    }
+    ++group;
+  }
+  // The next slot phase. A non-root layer that has not decoded that group
+  // by then is woken by the reception that completes it.
+  if (group >= group_count_) return kIdle;
+  return (slot_base_ + spacing * group) * phase_len;
+}
+
 void DisseminationState::on_receive(std::uint64_t /*rel_round*/,
                                     const radio::Message& msg) {
   if (is_root_) return;  // the root already owns everything

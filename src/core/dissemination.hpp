@@ -66,6 +66,13 @@ class DisseminationState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Idle-skipping hint, valid right after on_transmit(rel_round): the
+  /// earliest relative round at which on_transmit may act again if nothing
+  /// is received meanwhile (see radio::NodeProtocol::set_next_active_round).
+  /// The root's next injection round; for other layers the next round of a
+  /// FORWARD window (a phase whose slot is 0) for a group they hold.
+  std::uint64_t next_active_round(std::uint64_t rel_round) const;
+
   /// Optional payload-buffer pool for outgoing messages (usually the
   /// owning node's NodeProtocol::payload_arena). Null => heap-allocate,
   /// byte-identical either way.

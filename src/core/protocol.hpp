@@ -13,6 +13,11 @@
 // traffic beyond the protocol's own messages. Nodes woken after round 0
 // infer their position in the schedule from the global round number (the
 // model is synchronous).
+//
+// Every transmit decision also publishes an idle-skipping hint (see
+// radio::NodeProtocol::set_next_active_round): the earliest round the
+// current stage's state machine may act in, capped at the next stage
+// boundary, so the scalar engine skips the node's silent rounds.
 #pragma once
 
 #include <cstdint>
@@ -101,12 +106,16 @@ class KBroadcastNode final : public radio::NodeProtocol {
  private:
   enum class Stage { kLeader, kBfs, kCollection, kDissemination };
   Stage stage_for(radio::Round round) const;
+  /// Slow path of every upcall, run only when `round` reached
+  /// stage_until_ or collection just finished: reports and builds the
+  /// stage `round` falls in and refreshes the cached stage_/stage_until_.
+  void sync_stage(radio::Round round);
   /// Creates stage state lazily when the schedule crosses a boundary.
   void ensure_stage(radio::Round round);
   /// Reports a stage transition to the observer and audit sink, once per
   /// stage, stamped with the schedule's boundary round (not the
   /// observation round) so stage spans tile the run exactly.
-  void report_stage(radio::Round round);
+  void report_stage(Stage stage);
   /// Applies test-only outgoing-message mutations (no-op in production).
   std::optional<radio::MessageBody> apply_mutations(
       std::optional<radio::MessageBody> msg) const;
@@ -119,6 +128,13 @@ class KBroadcastNode final : public radio::NodeProtocol {
   radio::Round stage2_start_ = 0;
   radio::Round stage3_start_ = 0;
   radio::Round stage3_end_ = 0;  // 0 until collection finishes
+
+  /// The stage of the last upcall, valid for rounds before stage_until_:
+  /// the next fixed boundary in Stages 1 and 2, never in Stages 3 and 4
+  /// (collection's end is seen through CollectionState::finished()). 0
+  /// sends the first upcall down the slow path.
+  Stage stage_ = Stage::kLeader;
+  radio::Round stage_until_ = 0;
 
   protocols::LeaderElectionState leader_;
   std::optional<protocols::BfsBuildState> bfs_;

@@ -45,6 +45,10 @@ class AlarmWindow {
   /// The window's outcome from this node's perspective: it knows the alarm
   /// is up either because it armed it or because it heard it.
   bool positive() const { return armed_ || heard(); }
+  /// True iff this node relays the alarm (armed or heard), i.e. on_transmit
+  /// draws a Decay decision every round. A silent node stays silent and
+  /// draws nothing until it hears the alarm.
+  bool flooding() const { return flood_.has_message(); }
 
  private:
   BgiFlood flood_;

@@ -33,6 +33,13 @@ class BfsBuildState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Idle-skipping hint, valid right after on_transmit(rel_round): the
+  /// earliest relative round at which on_transmit may act again if nothing
+  /// is received meanwhile (see radio::NodeProtocol::set_next_active_round).
+  /// A node acts only during phase `distance()`; without a distance it is
+  /// idle until the stage ends.
+  std::uint64_t next_active_round(std::uint64_t rel_round) const;
+
   std::uint64_t total_rounds() const { return total_rounds_; }
 
   bool has_distance() const { return dist_.has_value(); }

@@ -66,6 +66,12 @@ void LeaderElectionState::on_receive(std::uint64_t rel_round,
   alarm_.on_receive(msg.body);
 }
 
+std::uint64_t LeaderElectionState::next_active_round(std::uint64_t rel_round) const {
+  if (finished_) return total_rounds_;
+  if (alarm_.flooding()) return rel_round + 1;
+  return static_cast<std::uint64_t>(current_probe_ + 1) * probe_rounds_;
+}
+
 void LeaderElectionState::finalize() { advance(total_rounds_); }
 
 }  // namespace radiocast::protocols

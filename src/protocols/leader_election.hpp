@@ -36,6 +36,13 @@ class LeaderElectionState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Idle-skipping hint, valid right after on_transmit(rel_round): the
+  /// earliest relative round at which on_transmit may act again if nothing
+  /// is received meanwhile (see radio::NodeProtocol::set_next_active_round).
+  /// A node that neither armed nor heard the current probe is idle until
+  /// the probe window ends.
+  std::uint64_t next_active_round(std::uint64_t rel_round) const;
+
   /// Total rounds of the stage.
   std::uint64_t total_rounds() const { return total_rounds_; }
 

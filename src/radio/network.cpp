@@ -29,6 +29,7 @@ Network::Network(const graph::Graph& graph)
     : graph_(graph),
       protocols_(graph.num_nodes(), nullptr),
       awake_(graph.num_nodes(), 0),
+      next_active_(graph.num_nodes(), 0),
       transmitting_(graph.num_nodes(), 0),
       reach_(graph.num_nodes(), ReachSlot{0, 0}),
       payload_arena_(std::make_unique<PayloadArena>()) {
@@ -55,6 +56,7 @@ void Network::set_protocol(NodeId id, NodeProtocol* protocol) {
   RC_ASSERT_MSG(!started_, "set_protocol after the simulation started");
   protocol->set_payload_arena(payload_arena_.get());
   protocols_[id] = protocol;
+  next_active_[id] = 0;
 }
 
 NodeProtocol& Network::protocol(NodeId id) {
@@ -450,6 +452,7 @@ void Network::wake(NodeId id) {
     if (bitset_ready_) awake_bits_.words()[id >> 6] |= 1ULL << (id & 63);
     awake_list_.push_back(id);
     awake_list_dirty_ = true;
+    next_active_[id] = 0;
     ++trace_.counters().wakeups;
     if (auditor_ != nullptr) auditor_->on_node_wake(round_, id);
     protocols_[id]->on_wake(round_);
@@ -525,6 +528,9 @@ void Network::round_scalar() {
   // Phase 1: collect transmission decisions from awake nodes. The dense
   // awake list replaces the historical full-n scan; it is kept sorted so
   // on_transmit fires in the same ascending-id order as that scan did.
+  // A node whose published hint lies in the future is skipped without a
+  // call: by the hint contract it would return nullopt and touch nothing,
+  // so the skip is unobservable (see NodeProtocol::set_next_active_round).
   // Last round's payload buffers go back to the arena first, so the
   // on_transmit calls below can reuse them instead of hitting the heap.
   const bool events = trace_.events_enabled();
@@ -544,6 +550,7 @@ void Network::round_scalar() {
   std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
   NodeProtocol* const* const tx_protocols = protocols_.data();
   std::uint8_t* const tx_transmitting = transmitting_.data();
+  Round* const next_active = next_active_.data();
   const Round round_now = round_;
   // awake_list_ cannot change inside this loop (wake() only fires on
   // reception, in Phase 3), so its bounds are hoisted past the virtual
@@ -552,7 +559,10 @@ void Network::round_scalar() {
   const std::size_t awake_n = awake_list_.size();
   for (std::size_t i = 0; i < awake_n; ++i) {
     const NodeId id = awake_ids[i];
-    std::optional<MessageBody> body = tx_protocols[id]->on_transmit(round_now);
+    if (next_active[id] > round_now) continue;
+    NodeProtocol* const protocol = tx_protocols[id];
+    std::optional<MessageBody> body = protocol->on_transmit(round_now);
+    next_active[id] = protocol->take_next_active_round();
     if (body.has_value()) {
       tx_transmitting[id] = 1;
       const auto bits = static_cast<std::uint32_t>(message_size_bits(*body));
@@ -631,6 +641,7 @@ void Network::round_scalar() {
     NodeProtocol* const* const protocols = protocols_.data();
     const std::uint8_t* const transmitting = transmitting_.data();
     ReachSlot* const reach = reach_.data();
+    Round* const next_active = next_active_.data();
     const Message* const txs = transmissions_.data();
     const TxMeta* const tx_meta = tx_meta_.data();
     std::uint64_t deliveries_acc = 0;
@@ -664,6 +675,7 @@ void Network::round_scalar() {
         }
         if (auditor_ != nullptr) auditor_->on_deliver(round_, v, source, tx);
         if (!mutations_.skip_wake_on_receive && !awake_[v]) wake(v);
+        next_active[v] = 0;
         protocols[v]->on_receive(round_, tx);
       };
 
@@ -682,6 +694,7 @@ void Network::round_scalar() {
         }
         if (collision_detection_) {
           wake(v);
+          next_active[v] = 0;
           protocols[v]->on_collision(round_);
         }
         if (mutations_.deliver_on_collision) deliver(slot.source);

@@ -8,6 +8,9 @@
 // The engine owns one NodeProtocol per vertex of the topology graph.
 // Protocols for sleeping nodes exist from the start but get no callbacks
 // until woken (round 0 for initially-awake nodes, or on first reception).
+// Awake nodes are asked for a transmission decision every round, except
+// that the scalar engine skips a node's on_transmit in the rounds before
+// the idle-skipping hint it published (NodeProtocol::set_next_active_round).
 #pragma once
 
 #include <functional>
@@ -48,8 +51,9 @@ std::optional<EngineMode> parse_engine_mode(std::string_view name);
 /// Optional bulk transmit-decision provider for the bitset engine.
 ///
 /// The scalar engine asks every awake node's protocol for a decision via
-/// the virtual NodeProtocol::on_transmit; at n = 10^6 those virtual calls
-/// dominate the round. A protocol family whose per-round decision is a
+/// the virtual NodeProtocol::on_transmit (skipping only nodes idle under
+/// their published hint); at n = 10^6 those virtual calls dominate the
+/// round. A protocol family whose per-round decision is a
 /// simple predicate (the paper's one-bit Decay/alarm regimes) can instead
 /// register a PackedTransmitSource: the engine requests the whole round's
 /// decisions as one bit vector and only materialises a Message for
@@ -312,6 +316,13 @@ class Network {
   /// callbacks fire in exactly the order of the historical full scan.
   std::vector<NodeId> awake_list_;
   bool awake_list_dirty_ = false;
+  /// Per-node idle-skipping hint (see NodeProtocol::set_next_active_round):
+  /// the scalar Phase 1 calls on_transmit only once round_ reaches it. It
+  /// is refreshed from the protocol after every on_transmit and zeroed on
+  /// every delivery, collision callback, wake and set_protocol, so a node
+  /// that hears anything is asked again the next round. The bitset engine
+  /// never reads it.
+  std::vector<Round> next_active_;
   /// Nodes flagged awake before the first step; on_wake fires lazily.
   std::vector<NodeId> pending_initial_wakes_;
   bool started_ = false;
