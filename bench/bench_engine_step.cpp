@@ -24,25 +24,15 @@
 //
 // Each row reports rounds/sec (best of `reps` timed repetitions) and an
 // analytic bytes-touched-per-round estimate derived from the run's exact
-// counters (see touched_bytes_model below). Single-shard rows are timed
-// on the process CPU clock so shared/noisy-neighbor machines don't skew
-// the number (the run is single-threaded, so CPU time is honest
-// throughput); multi-shard rows (--shards, ISSUE 8) run the reception
-// sweep on a worker pool, where CPU time would sum across workers and
-// hide the speedup, so they are timed on the monotonic wall clock.
-//
-// `--shards N[,N...]` adds an intra-run sharding axis: every workload ×
-// engine cell reruns per shard count, and the deterministic counter
-// columns must be identical across shard counts (the set_shards
-// determinism contract) — the pinned baseline enforces that, while the
-// rounds/sec column shows the multi-shard wall-clock speedup.
+// counters (see touched_bytes_model below). Rows are timed on the
+// process CPU clock so shared/noisy-neighbor machines don't skew the
+// number (the run is single-threaded, so CPU time is honest throughput).
 //
 // `--smoke` shrinks the grid for CI; rows land in BENCH_engine_step.json
 // when RADIOCAST_BENCH_JSON_DIR is set. All counter columns are
 // deterministic (fixed seeds, no wall-clock dependence) — only the
 // time-derived columns vary between machines, which is what
 // scripts/bench_compare.py's tolerance applies to.
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <string>
@@ -60,15 +50,6 @@ namespace {
 double cpu_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-/// Monotonic wall time in seconds — the honest metric once shard workers
-/// run in parallel (CPU time would count every worker's cycles and report
-/// no speedup at all).
-double wall_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
@@ -225,7 +206,7 @@ double touched_bytes_model(const RowResult& r) {
 }
 
 RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t rounds,
-                       int reps, radio::EngineMode engine, std::uint32_t shards) {
+                       int reps, radio::EngineMode engine) {
   const std::uint32_t n = g.num_nodes();
   // Deterministic per-node schedule + payloads (fixed seed, shared by the
   // accounting pass, every timed rep, and both engine modes).
@@ -260,12 +241,10 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
   std::optional<ScheduledAlarmSource> source;
   if (w.alarm && engine == radio::EngineMode::kBitset) source.emplace(patterns);
 
-  const bool wall = shards > 1;  // parallel sweeps: CPU time sums workers
   row.best_seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     radio::Network net(g);
     net.set_engine(engine);
-    if (shards > 1) net.set_shards(shards);
     if (source) net.set_packed_source(&*source);
     for (radio::NodeId v = 0; v < n; ++v) {
       if (w.alarm) {
@@ -275,9 +254,9 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
       }
       net.wake_at_start(v);
     }
-    const double start = wall ? wall_seconds() : cpu_seconds();
+    const double start = cpu_seconds();
     for (std::uint64_t r = 0; r < rounds; ++r) net.step();
-    const double seconds = (wall ? wall_seconds() : cpu_seconds()) - start;
+    const double seconds = cpu_seconds() - start;
     if (seconds < row.best_seconds) row.best_seconds = seconds;
     if (rep == 0) row.counters = net.trace().counters();
   }
@@ -285,7 +264,7 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
 }
 
 void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Workload& w,
-              radio::EngineMode engine, std::uint32_t shards, const RowResult& row) {
+              radio::EngineMode engine, const RowResult& row) {
   const radio::TraceCounters& c = row.counters;
   const std::uint64_t touched =
       c.deliveries + c.collision_slots + c.deaf_slots + c.fault_drops;
@@ -298,7 +277,6 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
   table.row()
       .add(w.name)
       .add(radio::engine_mode_name(engine))
-      .add(shards)
       .add(row.n)
       .add(row.rounds)
       .add(tx_per_round, 1)
@@ -308,7 +286,6 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
   json.row()
       .col("workload", w.name)
       .col("engine", radio::engine_mode_name(engine))
-      .col("shards", shards)
       .col("n", row.n)
       .col("rounds", row.rounds)
       .col("transmissions", c.transmissions)
@@ -326,14 +303,11 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string engine_arg = "both";
-  std::string shards_arg = "1,4";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
       engine_arg = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards_arg = argv[++i];
     }
   }
   std::vector<radio::EngineMode> engines;
@@ -341,19 +315,8 @@ int main(int argc, char** argv) {
     engines.push_back(radio::EngineMode::kScalar);
   if (engine_arg == "bitset" || engine_arg == "both")
     engines.push_back(radio::EngineMode::kBitset);
-  std::vector<std::uint32_t> shard_counts;
-  for (std::size_t pos = 0; pos < shards_arg.size();) {
-    const std::size_t comma = shards_arg.find(',', pos);
-    const std::string tok =
-        shards_arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const long v = std::strtol(tok.c_str(), nullptr, 10);
-    if (v >= 1) shard_counts.push_back(static_cast<std::uint32_t>(v));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (engines.empty() || shard_counts.empty()) {
-    std::cerr << "usage: bench_engine_step [--smoke] [--engine scalar|bitset|both] "
-                 "[--shards N[,N...]]\n";
+  if (engines.empty()) {
+    std::cerr << "usage: bench_engine_step [--smoke] [--engine scalar|bitset|both]\n";
     return 1;
   }
 
@@ -363,7 +326,6 @@ int main(int argc, char** argv) {
   benchutil::JsonReport json("engine_step");
   json.meta("smoke", smoke ? "1" : "0");
   json.meta("engines", engine_arg);
-  json.meta("shards", shards_arg);
 
   const std::uint32_t n = smoke ? 512 : 2048;
   const std::uint64_t rounds = smoke ? 1024 : 4096;
@@ -376,16 +338,13 @@ int main(int argc, char** argv) {
   print_meta(std::cout, "graph", "gnp " + g.summary());
   json.meta("graph", g.summary());
 
-  radiocast::Table table({"workload", "engine", "shards", "n", "rounds", "tx/round",
+  radiocast::Table table({"workload", "engine", "n", "rounds", "tx/round",
                           "touched/round", "rounds/sec", "est bytes/round"});
   const std::vector<Workload> workloads = {
       {"dense", 16}, {"sparse", 1}, {"alarm", 16, /*alarm=*/true}};
   for (const Workload& w : workloads) {
     for (const radio::EngineMode engine : engines) {
-      for (const std::uint32_t shards : shard_counts) {
-        emit_row(table, json, w, engine, shards,
-                 run_workload(g, w, rounds, reps, engine, shards));
-      }
+      emit_row(table, json, w, engine, run_workload(g, w, rounds, reps, engine));
     }
   }
 
@@ -406,18 +365,12 @@ int main(int argc, char** argv) {
     const Workload dense_big{"alarm_dense_100k", 24, /*alarm=*/true};
     const Workload sparse_big{"alarm_sparse_1m", 1, /*alarm=*/true};
     for (const radio::EngineMode engine : engines) {
-      for (const std::uint32_t shards : shard_counts) {
-        emit_row(table, json, dense_big, engine, shards,
-                 run_workload(g100k, dense_big, /*rounds=*/256, /*reps=*/1, engine,
-                              shards));
-      }
+      emit_row(table, json, dense_big, engine,
+               run_workload(g100k, dense_big, /*rounds=*/256, /*reps=*/1, engine));
     }
     for (const radio::EngineMode engine : engines) {
-      for (const std::uint32_t shards : shard_counts) {
-        emit_row(table, json, sparse_big, engine, shards,
-                 run_workload(g1m, sparse_big, /*rounds=*/64, /*reps=*/1, engine,
-                              shards));
-      }
+      emit_row(table, json, sparse_big, engine,
+               run_workload(g1m, sparse_big, /*rounds=*/64, /*reps=*/1, engine));
     }
   }
 

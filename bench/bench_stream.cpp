@@ -13,9 +13,9 @@
 // All workload/outcome columns are deterministic (fixed seeds, no
 // wall-clock dependence): arrivals, delivered, dropped, backpressured,
 // in_system_end, saturated and epochs must reproduce bit for bit on any
-// machine and at any shard count, which the pinned baseline's exact-match
-// tier enforces. rounds_per_sec is the gated throughput column (the
-// driver is single-threaded, so the CPU clock is honest). `--smoke`
+// machine, which the pinned baseline's exact-match tier enforces.
+// rounds_per_sec is the gated throughput column (the driver is
+// single-threaded, so the CPU clock is honest). `--smoke`
 // shrinks the grid for CI; rows land in BENCH_stream.json when
 // RADIOCAST_BENCH_JSON_DIR is set.
 #include <cstring>

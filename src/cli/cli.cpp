@@ -1,6 +1,7 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <ctime>
 #include <filesystem>
@@ -24,7 +25,7 @@ constexpr const char* kUsage = R"(radiocast — declarative experiment orchestra
 
 usage:
   radiocast run <spec.json> [--out DIR] [--seeds N] [--threads N]
-                [--shards N] [--engine scalar|bitset] [--audit] [--quiet]
+                [--engine scalar|bitset] [--audit] [--quiet]
                 [--require-delivery]
   radiocast trace <spec.json> [run options]
   radiocast report <results.json> [--out FILE]
@@ -57,11 +58,27 @@ std::string now_utc_iso8601() {
   return buf;
 }
 
+/// Parses the value of an integer flag: the whole string must be a base-10
+/// integer in [min_value, INT_MAX], or the run fails with a usage error
+/// naming the flag and the value.
+int parse_int_flag(const std::string& flag, const std::string& value,
+                   int min_value) {
+  int v = 0;
+  const char* const last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+  if (value.empty() || ec != std::errc() || ptr != last || v < min_value) {
+    throw std::runtime_error(flag + " expects a " +
+                             (min_value > 0 ? "positive" : "non-negative") +
+                             " integer, got '" + value + "'");
+  }
+  return v;
+}
+
 int cmd_run(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err, bool trace_mode = false) {
   std::string spec_path, out_dir = ".";
   std::string engine_override;
-  int seeds_override = 0, threads_override = -1, shards_override = -1;
+  int seeds_override = 0, threads_override = -1;
   bool audit_override = false, quiet = false, require_delivery = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -72,11 +89,9 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
     if (a == "--out") {
       out_dir = next();
     } else if (a == "--seeds") {
-      seeds_override = std::stoi(next());
+      seeds_override = parse_int_flag(a, next(), 1);
     } else if (a == "--threads") {
-      threads_override = std::stoi(next());
-    } else if (a == "--shards") {
-      shards_override = std::stoi(next());
+      threads_override = parse_int_flag(a, next(), 0);
     } else if (a == "--engine") {
       engine_override = next();
     } else if (a == "--audit") {
@@ -98,7 +113,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   exp::ScenarioSpec spec = exp::parse_scenario(read_file(spec_path));
   if (seeds_override > 0) spec.seeds = seeds_override;
   if (threads_override >= 0) spec.threads = threads_override;
-  if (shards_override >= 0) spec.shards = shards_override;
   if (audit_override) spec.audit = true;
   if (!engine_override.empty()) spec.engine = engine_override;
   if (trace_mode) {

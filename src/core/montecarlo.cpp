@@ -20,15 +20,6 @@ int threads_from_env(int fallback) {
   return static_cast<int>(ThreadPool::default_concurrency());
 }
 
-int shards_from_env(int fallback) {
-  const char* env = std::getenv("RADIOCAST_BENCH_SHARDS");
-  if (env != nullptr && *env != '\0') {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback > 0 ? fallback : 1;
-}
-
 void run_indexed(int trials, const std::function<void(int)>& fn,
                  const Options& opts) {
   if (trials <= 0) return;
@@ -69,17 +60,6 @@ std::vector<RunResult> run_kbroadcast_sweep(const KBroadcastSweep& sweep,
                                             int trials, const Options& opts) {
   RC_ASSERT(sweep.graph != nullptr && sweep.graph->finalized());
   RC_ASSERT(sweep.placement_seed != nullptr && sweep.run_seed != nullptr);
-  RC_ASSERT(sweep.shards >= 1);
-  // Split the overall thread budget between trial fan-out and intra-run
-  // shards: with S shards per trial, only budget/S trials may run at once
-  // before trials x shards oversubscribes the machine. Neither knob
-  // changes any result (pinned by the shard oracle + sweep tests), so
-  // this is pure scheduling.
-  Options trial_opts = opts;
-  if (sweep.shards > 1) {
-    const int budget = opts.threads > 0 ? opts.threads : threads_from_env();
-    trial_opts.threads = std::max(1, budget / sweep.shards);
-  }
   return run(
       trials,
       [&sweep](int t) {
@@ -96,10 +76,9 @@ std::vector<RunResult> run_kbroadcast_sweep(const KBroadcastSweep& sweep,
         return run_kbroadcast(*sweep.graph, sweep.cfg, placement,
                               sweep.run_seed(t), sweep.max_rounds, faults,
                               observer, auditor, sweep.collision_detection,
-                              tracer, sweep.engine,
-                              static_cast<std::uint32_t>(sweep.shards));
+                              tracer, sweep.engine);
       },
-      trial_opts);
+      opts);
 }
 
 }  // namespace radiocast::core::montecarlo

@@ -79,7 +79,7 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          std::uint64_t max_rounds, const radio::FaultModel& faults,
                          obs::RunObserver* observer, RunAuditor* auditor,
                          bool collision_detection, obs::PacketTracer* tracer,
-                         radio::EngineMode engine, std::uint32_t shards) {
+                         radio::EngineMode engine) {
   RC_ASSERT(g.finalized());
   RC_ASSERT(placement.size() == g.num_nodes());
   const ResolvedConfig rc = resolve(cfg);
@@ -122,7 +122,6 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
   radio::ProtocolSlab<KBroadcastNode> slab(g.num_nodes());
   radio::Network net(g);
   net.set_engine(engine);
-  if (shards > 1) net.set_shards(shards);
   if (faults.reception_loss_probability > 0.0) net.set_fault_model(faults);
   if (collision_detection) net.enable_collision_detection(true);
   net.set_observer(observer);

@@ -105,10 +105,6 @@ struct RunResult {
 /// network, so the auditor and tracer are never invoked for it.
 /// `engine` selects the round kernel (see radio::EngineMode); both modes
 /// produce identical results, pinned by the differential oracle tests.
-/// `shards` splits each round's reception sweep over that many intra-run
-/// worker shards (see radio::Network::set_shards) — an execution knob:
-/// results are shard-count invariant bit for bit, pinned by the shard
-/// oracle tests.
 RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          const Placement& placement, std::uint64_t seed,
                          std::uint64_t max_rounds = 0,
@@ -117,7 +113,6 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          RunAuditor* auditor = nullptr,
                          bool collision_detection = false,
                          obs::PacketTracer* tracer = nullptr,
-                         radio::EngineMode engine = radio::EngineMode::kScalar,
-                         std::uint32_t shards = 1);
+                         radio::EngineMode engine = radio::EngineMode::kScalar);
 
 }  // namespace radiocast::core

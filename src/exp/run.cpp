@@ -140,7 +140,6 @@ JsonValue buckets_json(const obs::LogHistogram& h) {
 struct Builder {
   const ScenarioSpec& spec;
   int resolved_threads;
-  int resolved_shards;
 
   std::vector<std::string> columns = {};
   std::vector<JsonValue> rows = {};            // results rows
@@ -272,7 +271,6 @@ struct Builder {
     env.set("engine", spec.engine);
     env.set("simd", std::string(gf2::simd_kernel_name()));
     env.set("threads", static_cast<std::int64_t>(resolved_threads));
-    env.set("shards", static_cast<std::int64_t>(resolved_shards));
     env.set("timestamp_utc", "");  // filled by the CLI; excluded from digests
     env.set("elapsed_seconds", elapsed_seconds);
     env.set("dropped_trace_events", dropped_trace_events);
@@ -351,7 +349,6 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
       sweep.collision_detection = cell.cd;
       sweep.engine = spec.engine == "bitset" ? radio::EngineMode::kBitset
                                              : radio::EngineMode::kScalar;
-      sweep.shards = b.resolved_shards;
       if (cell.loss > 0) {
         sweep.faults = [&spec, &cell](int t) {
           radio::FaultModel f;
@@ -762,7 +759,6 @@ void run_stream_cells(Builder& b, const graph::Graph& g,
         cfg.saturation.window = spec.stream.saturation_window;
         cfg.saturation.min_growth = spec.stream.saturation_min_growth;
         cfg.horizon = horizon;
-        cfg.shards = static_cast<std::uint32_t>(b.resolved_shards);
         cfg.audit = spec.audit;
         cfg.ledger_max_rows =
             static_cast<std::size_t>(spec.telemetry.ledger_rounds);
@@ -779,7 +775,7 @@ void run_stream_cells(Builder& b, const graph::Graph& g,
 
         // All reductions walk trials in trial order: histogram merges are
         // bucket-wise integer sums and counters are integer sums, so the
-        // document is byte-identical at any thread (and shard) count.
+        // document is byte-identical at any thread count.
         obs::LogHistogram latency;
         SampleSet tput, norm, in_system;
         std::uint64_t arrivals = 0, delivered = 0, peak_depth = 0;
@@ -904,10 +900,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
   Builder b{.spec = spec,
             .resolved_threads = spec.threads > 0
                                     ? spec.threads
-                                    : core::montecarlo::threads_from_env(),
-            .resolved_shards = spec.shards > 0
-                                   ? spec.shards
-                                   : core::montecarlo::shards_from_env()};
+                                    : core::montecarlo::threads_from_env()};
   if (spec.mode == "dynamic") {
     run_dynamic_cells(b, g, know);
   } else if (spec.mode == "stream") {

@@ -42,7 +42,6 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
 
   radio::ProtocolSlab<StreamNode> slab(g.num_nodes());
   radio::Network net(g);
-  if (cfg.shards > 1) net.set_shards(cfg.shards);
 
   std::unique_ptr<audit::ChannelAuditor> auditor;
   if (cfg.audit) {

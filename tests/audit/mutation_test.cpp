@@ -33,8 +33,7 @@ struct Mutations {
 /// stay meaningful.
 void run_mutated(const graph::Graph& g, const core::Placement& placement,
                  std::uint64_t seed, const Mutations& mut,
-                 audit::ModelAuditor& auditor, std::uint64_t max_rounds = 0,
-                 std::uint32_t shards = 1) {
+                 audit::ModelAuditor& auditor, std::uint64_t max_rounds = 0) {
   core::KBroadcastConfig cfg;
   cfg.know = radio::Knowledge::exact(g);
   const core::ResolvedConfig rc = core::resolve(cfg);
@@ -45,7 +44,6 @@ void run_mutated(const graph::Graph& g, const core::Placement& placement,
 
   radio::Network net(g);
   net.set_test_mutations(mut.engine);
-  if (shards > 1) net.set_shards(shards);
   net.set_auditor(&auditor);
   Rng master(seed);
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -147,34 +145,6 @@ TEST(AuditorMutations, SkipWakeOnReceiveIsFlagged) {
   run_mutated(g, placement, 5, mut, auditor, /*max_rounds=*/5000);
   EXPECT_FALSE(auditor.clean());
   EXPECT_TRUE(flagged(auditor, "radio.wake_on_reception")) << auditor.summary();
-}
-
-// Seeded engine bug #4 (sharded engines): each shard applies only its own
-// transmitters — the round-boundary transmit-set exchange is skipped, so
-// cut-edge receptions vanish. The auditor re-derives every slot's outcome
-// from the full transmission set, so the missing deliveries surface as
-// radio.outcome violations.
-TEST(AuditorMutations, ShardSkipFrontierExchangeIsFlagged) {
-  Rng rng(7);
-  const graph::Graph g = graph::make_gnp_connected(32, 0.2, rng);
-  Mutations mut;
-  mut.engine.shard_skip_frontier_exchange = true;
-  audit::ModelAuditor auditor;
-  run_mutated(g, dense_placement(g, 6, 56), 9, mut, auditor,
-              /*max_rounds=*/20000, /*shards=*/4);
-  EXPECT_FALSE(auditor.clean());
-  EXPECT_TRUE(flagged(auditor, "radio.outcome")) << auditor.summary();
-}
-
-// Control for bug #4: the same sharded run with the mutation off audits
-// clean — sharding by itself must not trip any model check.
-TEST(AuditorMutations, ShardedControlRunIsClean) {
-  Rng rng(7);
-  const graph::Graph g = graph::make_gnp_connected(32, 0.2, rng);
-  audit::ModelAuditor auditor;
-  run_mutated(g, dense_placement(g, 6, 56), 9, Mutations{}, auditor,
-              /*max_rounds=*/0, /*shards=*/4);
-  EXPECT_TRUE(auditor.clean()) << auditor.summary();
 }
 
 // Seeded protocol bug #1: a relay silently skips its Stage-2 BFS

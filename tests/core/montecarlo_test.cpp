@@ -38,24 +38,6 @@ TEST(ThreadsFromEnvTest, InvalidEnvFallsThrough) {
   EXPECT_GE(montecarlo::threads_from_env(), 1);
 }
 
-TEST(ShardsFromEnvTest, EnvOverridesFallback) {
-  ::setenv("RADIOCAST_BENCH_SHARDS", "3", 1);
-  EXPECT_EQ(montecarlo::shards_from_env(7), 3);
-  ::unsetenv("RADIOCAST_BENCH_SHARDS");
-  EXPECT_EQ(montecarlo::shards_from_env(7), 7);
-}
-
-TEST(ShardsFromEnvTest, InvalidEnvFallsThrough) {
-  ::setenv("RADIOCAST_BENCH_SHARDS", "bogus", 1);
-  EXPECT_EQ(montecarlo::shards_from_env(5), 5);
-  ::setenv("RADIOCAST_BENCH_SHARDS", "-2", 1);
-  EXPECT_EQ(montecarlo::shards_from_env(5), 5);
-  ::setenv("RADIOCAST_BENCH_SHARDS", "0", 1);
-  EXPECT_EQ(montecarlo::shards_from_env(5), 5);
-  ::unsetenv("RADIOCAST_BENCH_SHARDS");
-  EXPECT_EQ(montecarlo::shards_from_env(), 1);  // default: no sharding
-}
-
 TEST(MonteCarloRunTest, ResultsLandInTrialOrder) {
   montecarlo::Options opts;
   opts.threads = 4;
@@ -206,7 +188,7 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 
 std::vector<RunResult> sweep_with_threads(const graph::Graph& g,
                                           const KBroadcastConfig& cfg, int threads,
-                                          double loss, int shards = 1) {
+                                          double loss) {
   montecarlo::KBroadcastSweep sweep;
   sweep.graph = &g;
   sweep.cfg = cfg;
@@ -221,7 +203,6 @@ std::vector<RunResult> sweep_with_threads(const graph::Graph& g,
       return fm;
     };
   }
-  sweep.shards = shards;
   montecarlo::Options opts;
   opts.threads = threads;
   return montecarlo::run_kbroadcast_sweep(sweep, 4, opts);
@@ -254,24 +235,6 @@ class SweepDeterminismTest : public ::testing::Test {
 
 TEST_F(SweepDeterminismTest, CodedConfig) {
   check(baselines::coded_config(know_), /*loss=*/0.0);
-}
-
-TEST_F(SweepDeterminismTest, ShardCountInvariance) {
-  // The sharded engine inside each trial is the second parallelism axis;
-  // like the thread budget it must never perturb results. The thread
-  // budget is split across shards (threads / shards trial workers), so
-  // this also exercises the budget split.
-  const KBroadcastConfig cfg = baselines::coded_config(know_);
-  const std::vector<RunResult> unsharded =
-      sweep_with_threads(g_, cfg, /*threads=*/4, /*loss=*/0.02, /*shards=*/1);
-  const std::vector<RunResult> sharded =
-      sweep_with_threads(g_, cfg, /*threads=*/4, /*loss=*/0.02, /*shards=*/4);
-  ASSERT_EQ(unsharded.size(), sharded.size());
-  for (std::size_t i = 0; i < unsharded.size(); ++i) {
-    SCOPED_TRACE("trial " + std::to_string(i));
-    EXPECT_GT(unsharded[i].total_rounds, 0u);
-    expect_identical(unsharded[i], sharded[i]);
-  }
 }
 
 TEST_F(SweepDeterminismTest, UncodedPipelineConfig) {

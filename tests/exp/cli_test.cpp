@@ -159,6 +159,49 @@ TEST(Cli, RunUnknownOptionFails) {
   const CliRun r = run_cli({"run", "spec.json", "--frobnicate"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("unknown option"), std::string::npos);
+  const CliRun valued = run_cli({"run", "spec.json", "--shards", "2"});
+  EXPECT_EQ(valued.code, 1);
+  EXPECT_NE(valued.err.find("unknown option --shards"), std::string::npos) << valued.err;
+}
+
+TEST(Cli, RunRejectsMalformedIntegerFlags) {
+  const std::string dir = temp_dir("cli_int_flags");
+  write_file(dir + "/spec.json", kTinySpec);
+  const struct {
+    const char* flag;
+    const char* value;
+    const char* expect;
+  } cases[] = {
+      {"--seeds", "1x", "--seeds expects a positive integer, got '1x'"},
+      {"--seeds", "-3", "--seeds expects a positive integer, got '-3'"},
+      {"--seeds", "0", "--seeds expects a positive integer, got '0'"},
+      {"--seeds", "abc", "--seeds expects a positive integer, got 'abc'"},
+      {"--seeds", "", "--seeds expects a positive integer, got ''"},
+      {"--seeds", " 2", "--seeds expects a positive integer, got ' 2'"},
+      {"--threads", "-5", "--threads expects a non-negative integer, got '-5'"},
+      {"--threads", "99999999999",
+       "--threads expects a non-negative integer, got '99999999999'"},
+      {"--threads", "4.0", "--threads expects a non-negative integer, got '4.0'"},
+  };
+  for (const auto& c : cases) {
+    const CliRun r =
+        run_cli({"run", dir + "/spec.json", "--out", dir, "--quiet", c.flag, c.value});
+    EXPECT_EQ(r.code, 1) << c.flag << " " << c.value;
+    EXPECT_NE(r.err.find(c.expect), std::string::npos) << r.err;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/cli_tiny.results.json"));
+  }
+  // The trace command shares the run option parser.
+  const CliRun trace =
+      run_cli({"trace", dir + "/spec.json", "--out", dir, "--seeds", "1x"});
+  EXPECT_EQ(trace.code, 1);
+  EXPECT_NE(trace.err.find("--seeds expects a positive integer"), std::string::npos);
+  // Well-formed values at each flag's minimum still run.
+  ASSERT_EQ(run_cli({"run", dir + "/spec.json", "--out", dir, "--quiet", "--seeds", "1",
+                     "--threads", "0"})
+                .code,
+            0);
+  EXPECT_NE(read_file(dir + "/cli_tiny.manifest.json").find("\"seeds\": 1"),
+            std::string::npos);
 }
 
 }  // namespace

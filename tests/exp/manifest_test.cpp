@@ -69,19 +69,6 @@ TEST(Manifest, ThreadBudgetDoesNotPerturbResults) {
   EXPECT_EQ(manifest_digest(seq.manifest), manifest_digest(par.manifest));
 }
 
-TEST(Manifest, ShardCountDoesNotPerturbResults) {
-  // `shards`, like `threads`, is a pure execution knob: results, manifest
-  // digest, and telemetry must be byte-identical at any shard count.
-  ScenarioSpec spec = tiny_spec();
-  spec.shards = 1;
-  const ScenarioOutcome one = run_scenario(spec);
-  spec.shards = 4;
-  const ScenarioOutcome four = run_scenario(spec);
-  EXPECT_EQ(json_serialize(one.results), json_serialize(four.results));
-  EXPECT_EQ(manifest_digest(one.manifest), manifest_digest(four.manifest));
-  EXPECT_EQ(one.telemetry, four.telemetry);
-}
-
 TEST(Manifest, SeedBaseChangesTrialDigests) {
   ScenarioSpec spec = tiny_spec();
   const ScenarioOutcome a = run_scenario(spec);

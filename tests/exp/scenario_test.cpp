@@ -89,6 +89,7 @@ TEST(Scenario, RejectsUnknownTopLevelKey) {
   } catch (const JsonError& e) {
     EXPECT_NE(std::string(e.what()).find("seed"), std::string::npos);
   }
+  EXPECT_THROW(parse_scenario(R"({"id": "x", "shards": 2})"), JsonError);  // not a key
 }
 
 TEST(Scenario, RejectsUnknownNestedKeys) {

@@ -1,4 +1,4 @@
-// End-to-end open-system runs: determinism, shard invariance, audit
+// End-to-end open-system runs: determinism, audit
 // cleanliness, and the policy-visible behaviors (drops vs backpressure,
 // saturation beyond the knee).
 #include "stream/driver.hpp"
@@ -58,14 +58,6 @@ TEST(StreamDriver, RepeatedRunsAreIdentical) {
   const graph::Graph g = test_graph();
   const StreamConfig cfg = base_cfg(g, 0.5);
   expect_same(run_stream(g, cfg), run_stream(g, cfg));
-}
-
-TEST(StreamDriver, ShardCountDoesNotPerturbResults) {
-  const graph::Graph g = test_graph();
-  StreamConfig cfg = base_cfg(g, 1.0);
-  const StreamResult unsharded = run_stream(g, cfg);
-  cfg.shards = 3;
-  expect_same(unsharded, run_stream(g, cfg));
 }
 
 TEST(StreamDriver, AuditedRunIsCleanAndBitIdentical) {
