@@ -33,6 +33,7 @@ DynamicBroadcastNode::DynamicBroadcastNode(const DynamicConfig& cfg,
       leader_(leader_config(cfg.rc), self, /*participant=*/true, &rng_) {
   bfs_start_ = cfg_.rc.stage1_rounds;
   setup_end_ = cfg_.rc.stage1_rounds + cfg_.rc.stage2_rounds;
+  window_ = cfg_.dissemination_window();
 }
 
 void DynamicBroadcastNode::inject(radio::Packet packet) {
@@ -125,7 +126,7 @@ void DynamicBroadcastNode::advance(radio::Round round) {
         }
         break;
       case Phase::kDisseminate:
-        if (round >= phase_start_ + cfg_.dissemination_window()) {
+        if (round >= phase_start_ + window_) {
           // Harvest whatever decoded and begin the next epoch.
           if (dissem_.has_value()) {
             for (radio::Packet& p : dissem_->packets()) {
@@ -133,7 +134,7 @@ void DynamicBroadcastNode::advance(radio::Round round) {
             }
           }
           ++epoch_;
-          start_collect(phase_start_ + cfg_.dissemination_window());
+          start_collect(phase_start_ + window_);
           changed = true;
         }
         break;
@@ -144,22 +145,42 @@ void DynamicBroadcastNode::advance(radio::Round round) {
 std::optional<radio::MessageBody> DynamicBroadcastNode::on_transmit(
     radio::Round round) {
   advance(round);
+  std::optional<radio::MessageBody> msg;
+  radio::Round next = 0;
   switch (phase_) {
     case Phase::kSetup:
-      if (round < bfs_start_) return leader_.on_transmit(round);
-      return bfs_->on_transmit(round - bfs_start_);
-    case Phase::kCollect: {
-      auto msg = collect_->on_transmit(round - phase_start_);
-      advance(round);
-      if (phase_ == Phase::kDisseminate) {
-        return dissem_->on_transmit(round - phase_start_);
+      if (round < bfs_start_) {
+        msg = leader_.on_transmit(round);
+        next = std::min(leader_.next_active_round(round), bfs_start_);
+      } else {
+        const std::uint64_t rel = round - bfs_start_;
+        msg = bfs_->on_transmit(rel);
+        next = std::min(bfs_start_ + bfs_->next_active_round(rel), setup_end_);
       }
-      return msg;
+      break;
+    case Phase::kCollect: {
+      msg = collect_->on_transmit(round - phase_start_);
+      advance(round);
+      if (phase_ == Phase::kCollect) {
+        next = absolute_hint(phase_start_,
+                             collect_->next_active_round(round - phase_start_));
+        break;
+      }
+      // Collection finished at exactly this round, which is already the
+      // dissemination window's round 0.
+      [[fallthrough]];
     }
-    case Phase::kDisseminate:
-      return dissem_->on_transmit(round - phase_start_);
+    case Phase::kDisseminate: {
+      const std::uint64_t rel = round - phase_start_;
+      msg = dissem_->on_transmit(rel);
+      // The window end harvests and re-enters collection: never skip it.
+      next = std::min(absolute_hint(phase_start_, dissem_->next_active_round(rel)),
+                      phase_start_ + window_);
+      break;
+    }
   }
-  return std::nullopt;
+  set_next_active_round(next);
+  return msg;
 }
 
 void DynamicBroadcastNode::on_receive(radio::Round round, const radio::Message& msg) {

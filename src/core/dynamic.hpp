@@ -26,6 +26,17 @@
 // keeps epochs near capacity; the per-packet *latency* is bounded by two
 // epoch lengths (one to be collected, one to be disseminated) — both
 // measured by run_dynamic_broadcast.
+//
+// Idle skipping: every transmit decision publishes the current sub-state
+// machine's next-active-round hint (radio::NodeProtocol::
+// set_next_active_round) — leader election's capped at the BFS start,
+// BFS construction's at the end of setup, and dissemination's at the end
+// of the window — so the scalar engine skips the node's silent rounds
+// without ever skipping a phase switch. Collection's own hint already
+// lands on its phase boundaries. inject() and the stream layer's offer()
+// cannot invalidate a published hint: pending packets are read only at
+// collection re-entry (take_epoch_packets), and that round is a window end
+// or the end of setup, which no hint skips past.
 #pragma once
 
 #include <cstdint>
@@ -116,6 +127,8 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
   std::optional<protocols::BfsBuildState> bfs_;
   radio::Round setup_end_ = 0;
   radio::Round bfs_start_ = 0;
+  /// cfg_.dissemination_window(), computed once.
+  std::uint64_t window_ = 0;
 
   Phase phase_ = Phase::kSetup;
   std::uint32_t epoch_ = 0;

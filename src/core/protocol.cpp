@@ -132,14 +132,6 @@ std::optional<radio::MessageBody> KBroadcastNode::apply_mutations(
   return msg;
 }
 
-namespace {
-/// A sub-state's relative hint as an absolute round (idle stays idle).
-radio::Round absolute_hint(radio::Round stage_start, std::uint64_t rel_hint) {
-  if (rel_hint == radio::NodeProtocol::kIdleUntilReception) return rel_hint;
-  return stage_start + rel_hint;
-}
-}  // namespace
-
 std::optional<radio::MessageBody> KBroadcastNode::on_transmit(radio::Round round) {
   if (round >= stage_until_) sync_stage(round);
   std::optional<radio::MessageBody> msg;

@@ -23,14 +23,11 @@ namespace {
 
 graph::Graph build_topology(const TopologySpec& t) {
   Rng rng(t.seed);
-  if (t.family == "geometric" && t.radius > 0)
-    return graph::make_random_geometric(t.n, t.radius, rng);
-  if (t.family == "gnp" && t.p > 0) return graph::make_gnp_connected(t.n, t.p, rng);
-  if (t.family == "cluster_chain" && t.clique_size > 0) {
-    const std::uint32_t cliques = std::max<std::uint32_t>(1, t.n / t.clique_size);
-    return graph::make_cluster_chain(cliques, t.clique_size);
-  }
-  return graph::make_named(t.family, t.n, rng);
+  if (t.named_shape()) return graph::make_named(t.family, t.n, rng);
+  if (t.family == "geometric") return graph::make_random_geometric(t.n, t.radius, rng);
+  if (t.family == "gnp") return graph::make_gnp_connected(t.n, t.p, rng);
+  const std::uint32_t cliques = std::max<std::uint32_t>(1, t.n / t.clique_size);
+  return graph::make_cluster_chain(cliques, t.clique_size);
 }
 
 radio::Knowledge build_knowledge(const KnowledgeSpec& k, const graph::Graph& g) {

@@ -371,6 +371,9 @@ void validate_scenario(const ScenarioSpec& s) {
   if (std::find(families.begin(), families.end(), s.topology.family) == families.end())
     fail("unknown topology.family \"" + s.topology.family + "\"");
   if (s.topology.n < 2) fail("topology.n must be >= 2");
+  if (s.topology.named_shape() && s.topology.n < graph::named_min_nodes(s.topology.family))
+    fail("topology.n must be >= " + std::to_string(graph::named_min_nodes(s.topology.family)) +
+         " for family \"" + s.topology.family + "\"");
   if (s.topology.radius < 0 || s.topology.radius > 2.0) fail("topology.radius out of range");
   if (s.topology.p < 0 || s.topology.p > 1.0) fail("topology.p out of range");
 

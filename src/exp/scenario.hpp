@@ -37,6 +37,13 @@ struct TopologySpec {
   double p = 0;
   /// cluster_chain only: clique size (0 = make_named default).
   std::uint32_t clique_size = 0;
+
+  /// True when graph::make_named derives the whole shape from n (no
+  /// explicit knob is set for this family).
+  bool named_shape() const {
+    return !((family == "geometric" && radius > 0) || (family == "gnp" && p > 0) ||
+             (family == "cluster_chain" && clique_size > 0));
+  }
 };
 
 /// What the nodes are told about (n̂, Δ̂, D̂) — see radio::Knowledge.

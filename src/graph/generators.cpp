@@ -246,8 +246,12 @@ Graph make_barbell(NodeId clique, NodeId path_len) {
   return g;
 }
 
+NodeId named_min_nodes(const std::string& family) {
+  return family == "barbell" ? 6 : 4;
+}
+
 Graph make_named(const std::string& family, NodeId n, Rng& rng) {
-  RC_ASSERT(n >= 4);
+  RC_ASSERT(n >= named_min_nodes(family));
   if (family == "path") return make_path(n);
   if (family == "cycle") return make_cycle(n);
   if (family == "star") return make_star(n);

@@ -77,7 +77,12 @@ Graph make_barbell(NodeId clique, NodeId path_len);
 ///   "barbell".
 /// Family-specific shape parameters are derived from n so that all families
 /// are comparable at equal n.
+/// Requires n >= named_min_nodes(family).
 Graph make_named(const std::string& family, NodeId n, Rng& rng);
+
+/// Smallest n make_named accepts for `family`: 6 for "barbell" (two
+/// 3-cliques), 4 for every other family.
+NodeId named_min_nodes(const std::string& family);
 
 /// The list of families make_named supports.
 const std::vector<std::string>& named_families();

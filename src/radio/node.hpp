@@ -94,6 +94,13 @@ class NodeProtocol {
   /// Hint value meaning "idle until something is received".
   static constexpr Round kIdleUntilReception = ~Round{0};
 
+  /// A sub-state machine's hint, relative to the round `start` its clock
+  /// counts from, as an absolute round (idle stays idle).
+  static constexpr Round absolute_hint(Round start, Round rel_hint) {
+    if (rel_hint == kIdleUntilReception) return rel_hint;
+    return start + rel_hint;
+  }
+
  private:
   PayloadArena* payload_arena_ = nullptr;
   Round next_active_round_ = 0;

@@ -1,6 +1,5 @@
 #include "stream/driver.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -51,11 +50,12 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
     net.set_auditor(auditor.get());
   }
 
+  StreamEvents events;
   Rng master(cfg.seed);
   std::vector<StreamNode*> nodes(g.num_nodes());
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
     StreamNode& node = slab.emplace(cfg.dyn, v, master.split(),
-                                    cfg.buffer_capacity, cfg.policy);
+                                    cfg.buffer_capacity, cfg.policy, &events);
     nodes[v] = &node;
     net.set_protocol(v, &node);
     net.wake_at_start(v);
@@ -113,27 +113,26 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
     }
     net.step();
 
-    // Round-exact delivery accounting: every first-hold event lands here
-    // in the round it happened.
-    std::uint32_t max_epoch = last_epoch;
-    for (StreamNode* node : nodes) {
-      for (const radio::PacketId id : node->drain_newly_held()) {
-        const auto it = tracking.find(id);
-        RC_ASSERT_MSG(it != tracking.end(), "held packet was never offered");
-        if (it->second.holders == 0) ++in_flight;
-        if (++it->second.holders == g.num_nodes()) {
-          --in_flight;
-          ++result.delivered_everywhere;
-          result.latency.add(round - it->second.arrival_round);
-        }
+    // Round-exact delivery accounting: every first-hold event of the round
+    // is in the sink, in the order the nodes fired them. The accounting is
+    // order-independent (counts, and a histogram of integer latencies).
+    for (const radio::PacketId id : events.held) {
+      const auto it = tracking.find(id);
+      RC_ASSERT_MSG(it != tracking.end(), "held packet was never offered");
+      RC_ASSERT_MSG(it->second.holders < g.num_nodes(), "packet held twice by a node");
+      if (it->second.holders == 0) ++in_flight;
+      if (++it->second.holders == g.num_nodes()) {
+        --in_flight;
+        ++result.delivered_everywhere;
+        result.latency.add(round - it->second.arrival_round);
       }
-      max_epoch = std::max(max_epoch, node->epochs_completed());
     }
+    events.held.clear();
 
     // One backlog sample per epoch boundary, plus the final round.
-    if (max_epoch > last_epoch || round + 1 == cfg.horizon) {
-      const bool boundary = max_epoch > last_epoch;
-      last_epoch = max_epoch;
+    if (events.max_epoch > last_epoch || round + 1 == cfg.horizon) {
+      const bool boundary = events.max_epoch > last_epoch;
+      last_epoch = events.max_epoch;
       sample_backlog(round, boundary);
     }
   }

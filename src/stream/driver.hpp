@@ -9,14 +9,17 @@
 //     RNG stream (stream/arrivals.hpp),
 //   * routes every arrival through a per-node SourceQueue with a
 //     configurable full-buffer policy (stream/queue.hpp),
-//   * drains first-hold events from every node every round, so per-packet
+//   * owns one StreamEvents sink (stream/stream_node.hpp) that the nodes
+//     append their first-hold events to as they fire, so per-packet
 //     delivery latencies are round-exact and fold into an
-//     obs::LogHistogram (thread-invariant percentiles),
+//     obs::LogHistogram (thread-invariant percentiles), and a round costs
+//     the driver O(events), not O(n),
 //   * samples the number in system — buffered + backpressure-held +
-//     in-flight packets — at every epoch boundary into an obs::QueueLedger
-//     and a SaturationDetector (a growing number in system is the
-//     queueing-theoretic signature of offered load beyond capacity; source
-//     depth alone would miss backlog parked in the root's queue), and
+//     in-flight packets — at every epoch boundary (the sink's highest
+//     epoch rising) into an obs::QueueLedger and a SaturationDetector
+//     (a growing number in system is the queueing-theoretic signature of
+//     offered load beyond capacity; source depth alone would miss backlog
+//     parked in the root's queue), and
 //   * reports achieved throughput both raw (delivered packets per round)
 //     and normalized by log2(n̂) — the Θ(1/log n) achievable-throughput
 //     bound of Ghaffari–Haeupler–Khabbazian (arXiv:1302.0264) makes the

@@ -1,25 +1,29 @@
-// Lock-step oracle for idle skipping: KBroadcastNode's published
-// next-active-round hints against the same protocol with its hints hidden.
+// Lock-step oracle for idle skipping: the next-active-round hints that
+// KBroadcastNode, DynamicBroadcastNode and stream::StreamNode publish,
+// against the same protocols with their hints hidden.
 //
-// Every test builds two identically seeded networks. In one the nodes are
-// plain KBroadcastNodes, so the scalar engine skips the rounds their hints
-// declare idle; in the other each node sits behind a forwarding decorator
-// that swallows the hint, so every awake node is called every round (the
-// behaviour before hints existed). After every round the two runs must
-// agree on the trace counters and on a running fingerprint of everything
-// observable: each transmission (sender and body), each reception outcome,
-// each wake, and each stage/phase/epoch callback together with the round in
-// which it fired. At the end the exp::digest_run of both runs must match,
-// and the hinted run must match core::run_kbroadcast itself.
+// Every test builds two identically seeded networks. In one the scalar
+// engine skips the rounds the nodes' hints declare idle; in the other each
+// node sits behind a forwarding decorator that swallows the hint, so every
+// awake node is called every round (the behaviour before hints existed).
+// After every round the two runs must agree on the trace counters and on a
+// running fingerprint of everything observable: each transmission (sender
+// and body), each reception outcome, each wake, and each
+// stage/phase/epoch callback together with the round in which it fired.
+// For KBroadcastNode the exp::digest_run of both runs must match at the
+// end, and the hinted run must match core::run_kbroadcast itself; the
+// dynamic and stream cases are described above their section.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/audit.hpp"
+#include "core/dynamic.hpp"
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
 #include "core/schedule.hpp"
@@ -27,20 +31,26 @@
 #include "graph/generators.hpp"
 #include "radio/network.hpp"
 #include "radio/protocol_slab.hpp"
+#include "stream/arrivals.hpp"
+#include "stream/driver.hpp"
+#include "stream/stream_node.hpp"
 
 namespace radiocast::core {
 namespace {
 
-/// Test-only decorator: forwards every upcall to a KBroadcastNode but
-/// publishes no hint, so the engine asks the node every round.
-class Unhinted final : public radio::NodeProtocol {
+/// Test-only decorator around any protocol: forwards every upcall and
+/// counts the on_transmit calls. Unless `hinted`, it swallows the hint the
+/// inner node publishes, so the engine asks the node every round.
+class Forwarder final : public radio::NodeProtocol {
  public:
-  explicit Unhinted(KBroadcastNode& inner) : inner_(inner) {}
+  Forwarder(radio::NodeProtocol& inner, bool hinted) : inner_(inner), hinted_(hinted) {}
 
   void on_wake(radio::Round round) override { inner_.on_wake(round); }
   std::optional<radio::MessageBody> on_transmit(radio::Round round) override {
+    ++transmit_calls_;
     std::optional<radio::MessageBody> msg = inner_.on_transmit(round);
-    inner_.take_next_active_round();
+    const radio::Round hint = inner_.take_next_active_round();
+    if (hinted_) set_next_active_round(hint);
     return msg;
   }
   void on_receive(radio::Round round, const radio::Message& msg) override {
@@ -49,8 +59,12 @@ class Unhinted final : public radio::NodeProtocol {
   void on_collision(radio::Round round) override { inner_.on_collision(round); }
   bool done() const override { return inner_.done(); }
 
+  std::uint64_t transmit_calls() const { return transmit_calls_; }
+
  private:
-  KBroadcastNode& inner_;
+  radio::NodeProtocol& inner_;
+  bool hinted_;
+  std::uint64_t transmit_calls_ = 0;
 };
 
 /// FNV-1a over every engine and protocol audit event, each stamped with the
@@ -178,7 +192,7 @@ class Run {
       if (hinted) {
         net_.set_protocol(v, &node);
       } else {
-        net_.set_protocol(v, &wrappers_.emplace_back(node));
+        net_.set_protocol(v, &wrappers_.emplace_back(node, /*hinted=*/false));
         node.set_payload_arena(&net_.payload_arena());
       }
       if (!c.placement[v].empty()) net_.wake_at_start(v);
@@ -236,7 +250,7 @@ class Run {
   ResolvedConfig rc_;
   Fingerprint fingerprint_;
   radio::ProtocolSlab<KBroadcastNode> slab_;
-  std::vector<Unhinted> wrappers_;
+  std::vector<Forwarder> wrappers_;
   radio::Network net_;
   std::vector<KBroadcastNode*> nodes_;
   std::size_t done_count_ = 0;
@@ -405,6 +419,296 @@ TEST(HintOracle, MutationCorruptCodedPayload) {
   c.mutations.corrupt_coded_payload = true;
   c.max_rounds = 30000;
   expect_identical(c);
+}
+
+// --- Dynamic and stream nodes ------------------------------------------
+//
+// The same lock-step comparison for the open-system pipeline: setup, then
+// collect/disseminate epochs over packets that keep arriving. Both runs go
+// through a Forwarder (the hinted one passes the hints on), so the test
+// also sees how many transmit calls the hints saved. Besides counters and
+// the fingerprint, every round's first-hold events must agree.
+
+/// A closed-mode DynamicBroadcastNode that reports its first holds to the
+/// same sink StreamNode uses (the base class reports nothing).
+class RecordingDynamicNode final : public DynamicBroadcastNode {
+ public:
+  RecordingDynamicNode(const DynamicConfig& cfg, radio::NodeId self, Rng rng,
+                       stream::StreamEvents* events)
+      : DynamicBroadcastNode(cfg, self, rng), events_(events) {}
+
+ protected:
+  void on_packet_delivered(const radio::Packet& packet) override {
+    events_->held.push_back(packet.id);
+  }
+
+ private:
+  stream::StreamEvents* events_;
+};
+
+struct DynamicCase {
+  graph::Graph g;
+  /// Protocol, buffers, horizon and seed, as stream::run_stream takes them.
+  stream::StreamConfig cfg;
+  /// StreamNodes behind bounded buffers (offer) instead of closed-mode
+  /// DynamicBroadcastNodes (inject).
+  bool stream = true;
+  std::vector<Arrival> arrivals;  ///< sorted by round
+};
+
+/// One run of a DynamicCase, wired like stream::run_stream.
+class DynamicRun {
+ public:
+  DynamicRun(const DynamicCase& c, bool hinted) : c_(c), net_(c.g) {
+    net_.set_auditor(&fingerprint_);
+    const radio::NodeId n = c.g.num_nodes();
+    wrappers_.reserve(n);
+    Rng master(c.cfg.seed);
+    for (radio::NodeId v = 0; v < n; ++v) {
+      if (c.stream) {
+        auto node = std::make_unique<stream::StreamNode>(
+            c.cfg.dyn, v, master.split(), c.cfg.buffer_capacity, c.cfg.policy, &events_);
+        stream_nodes_.push_back(node.get());
+        nodes_.push_back(std::move(node));
+      } else {
+        nodes_.push_back(std::make_unique<RecordingDynamicNode>(c.cfg.dyn, v, master.split(),
+                                                                &events_));
+      }
+      nodes_.back()->set_payload_arena(&net_.payload_arena());
+      net_.set_protocol(v, &wrappers_.emplace_back(*nodes_.back(), hinted));
+      net_.wake_at_start(v);
+    }
+  }
+
+  /// Feeds this round's arrivals, steps, and returns the round's
+  /// first-hold events in a canonical (sorted) order.
+  std::vector<radio::PacketId> step() {
+    const radio::Round round = net_.current_round();
+    while (next_arrival_ < c_.arrivals.size() &&
+           c_.arrivals[next_arrival_].round <= round) {
+      const Arrival& a = c_.arrivals[next_arrival_++];
+      if (c_.stream) {
+        stream_nodes_[a.node]->offer(a.packet);
+      } else {
+        nodes_[a.node]->inject(a.packet);
+      }
+    }
+    net_.step();
+    std::vector<radio::PacketId> held = std::move(events_.held);
+    events_.held.clear();
+    std::sort(held.begin(), held.end());
+    return held;
+  }
+
+  const radio::Network& net() const { return net_; }
+  std::uint64_t fingerprint() const { return fingerprint_.hash(); }
+  std::uint32_t max_epoch() const {
+    std::uint32_t e = 0;
+    for (const auto& node : nodes_) e = std::max(e, node->epochs_completed());
+    return e;
+  }
+  const stream::StreamEvents& events() const { return events_; }
+  const std::vector<std::unique_ptr<DynamicBroadcastNode>>& nodes() const {
+    return nodes_;
+  }
+  const std::vector<stream::StreamNode*>& stream_nodes() const { return stream_nodes_; }
+  std::uint64_t transmit_calls() const {
+    std::uint64_t calls = 0;
+    for (const Forwarder& w : wrappers_) calls += w.transmit_calls();
+    return calls;
+  }
+
+ private:
+  const DynamicCase& c_;
+  Fingerprint fingerprint_;
+  stream::StreamEvents events_;
+  std::vector<std::unique_ptr<DynamicBroadcastNode>> nodes_;
+  std::vector<stream::StreamNode*> stream_nodes_;
+  std::vector<Forwarder> wrappers_;
+  radio::Network net_;
+  std::size_t next_arrival_ = 0;
+};
+
+std::vector<radio::PacketId> delivered_ids(const DynamicBroadcastNode& node) {
+  std::vector<radio::PacketId> ids;
+  for (const auto& entry : node.delivered()) ids.push_back(entry.first);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+struct DynamicOutcome {
+  std::uint32_t epochs = 0;
+  /// Rounds in which some node entered a new epoch (collection re-entry).
+  std::vector<radio::Round> epoch_starts;
+  std::uint64_t held_events = 0;
+  std::uint64_t hinted_calls = 0;
+  std::uint64_t unhinted_calls = 0;
+  stream::QueueStats queue;  ///< merged over nodes (stream cases)
+  radio::TraceCounters counters;
+};
+
+/// Runs `c` hinted and unhinted lock-step for c.cfg.horizon rounds.
+DynamicOutcome expect_identical(const DynamicCase& c) {
+  DynamicRun hinted(c, /*hinted=*/true);
+  DynamicRun unhinted(c, /*hinted=*/false);
+  DynamicOutcome out;
+  for (std::uint64_t r = 0; r < c.cfg.horizon; ++r) {
+    const std::vector<radio::PacketId> held = hinted.step();
+    if (held != unhinted.step()) {
+      ADD_FAILURE() << "first-hold events diverged in round " << r;
+      return out;
+    }
+    const radio::TraceCounters& a = hinted.net().trace().counters();
+    const radio::TraceCounters& b = unhinted.net().trace().counters();
+    if (!(a == b) || hinted.fingerprint() != unhinted.fingerprint()) {
+      ADD_FAILURE() << "hinted and unhinted runs diverged in round " << r;
+      return out;
+    }
+    const std::uint32_t epoch = hinted.max_epoch();
+    if (epoch != unhinted.max_epoch()) {
+      ADD_FAILURE() << "epoch counts diverged in round " << r;
+      return out;
+    }
+    if (epoch > out.epochs) out.epoch_starts.push_back(r);
+    out.epochs = epoch;
+    out.held_events += held.size();
+  }
+  for (radio::NodeId v = 0; v < c.g.num_nodes(); ++v) {
+    EXPECT_EQ(delivered_ids(*hinted.nodes()[v]), delivered_ids(*unhinted.nodes()[v]))
+        << "node " << v;
+  }
+  if (c.stream) {
+    // StreamNode reports its epochs to the sink; it must agree with the
+    // nodes' own counts.
+    EXPECT_EQ(hinted.events().max_epoch, out.epochs);
+    for (radio::NodeId v = 0; v < c.g.num_nodes(); ++v) {
+      const stream::QueueStats& qa = hinted.stream_nodes()[v]->queue().stats();
+      const stream::QueueStats& qb = unhinted.stream_nodes()[v]->queue().stats();
+      EXPECT_EQ(qa.offered, qb.offered);
+      EXPECT_EQ(qa.admitted, qb.admitted);
+      EXPECT_EQ(qa.dropped, qb.dropped);
+      EXPECT_EQ(qa.backpressured, qb.backpressured);
+      EXPECT_EQ(qa.peak_depth, qb.peak_depth);
+      out.queue.merge(qa);
+    }
+  }
+  out.hinted_calls = hinted.transmit_calls();
+  out.unhinted_calls = unhinted.transmit_calls();
+  // The hints must actually be in effect, or the comparison proves nothing.
+  EXPECT_LT(out.hinted_calls, out.unhinted_calls);
+  out.counters = hinted.net().trace().counters();
+  return out;
+}
+
+/// A stream case under capacity-relative offered `load`, over setup plus
+/// `epochs` nominal epochs, with the driver's own arrival schedule.
+DynamicCase stream_case(std::uint64_t seed, double load, std::uint32_t epochs) {
+  DynamicCase c;
+  Rng grng(seed);
+  c.g = graph::make_random_geometric(16, 0.45, grng);
+  stream::StreamConfig& cfg = c.cfg;
+  cfg.dyn.rc = resolve(exact_cfg(c.g));
+  cfg.dyn.batch_capacity = 8;
+  cfg.arrivals.rate = stream::per_node_rate(cfg.dyn, c.g.num_nodes(), load);
+  cfg.arrivals.seed = seed + 1;
+  cfg.horizon = cfg.dyn.rc.stage3_start() +
+                static_cast<std::uint64_t>(epochs) * stream::epoch_estimate_rounds(cfg.dyn);
+  cfg.seed = seed + 2;
+  c.arrivals = stream::make_arrival_schedule(c.g.num_nodes(), cfg.arrivals, cfg.horizon);
+  return c;
+}
+
+Arrival make_arrival(radio::Round round, radio::NodeId node, std::uint32_t seq) {
+  Arrival a;
+  a.round = round;
+  a.node = node;
+  // Sequence numbers far above any the schedule generator hands out.
+  a.packet.id = radio::make_packet_id(node, 1000000 + seq);
+  a.packet.payload.assign(8, static_cast<std::uint8_t>(seq));
+  return a;
+}
+
+TEST(DynamicHintOracle, StreamSeveralEpochs) {
+  const DynamicCase c = stream_case(200, 0.5, 6);
+  const DynamicOutcome r = expect_identical(c);
+  EXPECT_GE(r.epochs, 3u);
+  EXPECT_GT(r.held_events, 0u);
+  // Far fewer upcalls: most node-rounds of an epoch are idle.
+  EXPECT_LT(r.hinted_calls * 2, r.unhinted_calls);
+
+  // The hinted harness is exactly the production driver.
+  const stream::StreamResult prod = stream::run_stream(c.g, c.cfg);
+  EXPECT_TRUE(prod.counters == r.counters);
+  EXPECT_EQ(prod.epochs_completed, r.epochs);
+  EXPECT_EQ(prod.queue.admitted, r.queue.admitted);
+}
+
+TEST(DynamicHintOracle, ClosedModeInjection) {
+  DynamicCase c = stream_case(210, 0.5, 5);
+  c.stream = false;
+  const DynamicOutcome r = expect_identical(c);
+  EXPECT_GE(r.epochs, 3u);
+  EXPECT_GT(r.held_events, 0u);
+}
+
+TEST(DynamicHintOracle, CapacityOverflowCarriesOver) {
+  // Every packet arrives during setup, so epoch 0 collects all of them and
+  // its window can carry only `capacity`: the root defers the rest.
+  DynamicCase c = stream_case(220, 0.5, 6);
+  c.arrivals.clear();
+  const radio::Round setup_end = c.cfg.dyn.rc.stage3_start();
+  const std::uint32_t capacity = c.cfg.dyn.resolved_capacity();
+  for (std::uint32_t i = 0; i < 3 * capacity; ++i) {
+    c.arrivals.push_back(make_arrival(i * setup_end / (3 * capacity),
+                                      i % c.g.num_nodes(), i));
+  }
+  const DynamicOutcome r = expect_identical(c);
+  EXPECT_GE(r.epochs, 3u);
+  EXPECT_EQ(r.queue.admitted, 3u * capacity);
+}
+
+TEST(DynamicHintOracle, ArrivalsOnEpochStartRounds) {
+  // Pins arrivals to the rounds in which an epoch starts (and the rounds
+  // either side). Arrivals at an epoch's first round join that epoch, so
+  // they cannot move its start: each pass adds the next epoch's.
+  for (const bool stream_nodes : {true, false}) {
+    DynamicCase c = stream_case(230, 0.25, 6);
+    c.stream = stream_nodes;
+    std::uint32_t seq = 0;
+    std::vector<radio::Round> starts = {c.cfg.dyn.rc.stage3_start()};
+    for (std::size_t e = 0; e < 4; ++e) {
+      for (const radio::Round r : {starts[e] - 1, starts[e], starts[e] + 1}) {
+        c.arrivals.push_back(make_arrival(r, seq % c.g.num_nodes(), seq));
+        ++seq;
+      }
+      std::stable_sort(c.arrivals.begin(), c.arrivals.end(),
+                       [](const Arrival& x, const Arrival& y) { return x.round < y.round; });
+      const DynamicOutcome pass = expect_identical(c);
+      if (HasFailure()) return;
+      // epoch_starts[i] is where epoch i+1 begins; epoch 0 begins at setup end.
+      ASSERT_GT(pass.epoch_starts.size(), e) << "too few epochs";
+      if (e > 0) EXPECT_EQ(pass.epoch_starts[e - 1], starts[e]);
+      starts.push_back(pass.epoch_starts[e]);
+    }
+  }
+}
+
+TEST(DynamicHintOracle, BufferPolicies) {
+  for (const stream::BufferPolicy policy :
+       {stream::BufferPolicy::kDropNew, stream::BufferPolicy::kDropOld,
+        stream::BufferPolicy::kBackpressure}) {
+    DynamicCase c = stream_case(240, 4.0, 5);
+    c.cfg.buffer_capacity = 2;
+    c.cfg.policy = policy;
+    const DynamicOutcome r = expect_identical(c);
+    EXPECT_GE(r.epochs, 2u);
+    if (policy == stream::BufferPolicy::kBackpressure) {
+      EXPECT_GT(r.queue.backpressured, 0u);
+      EXPECT_EQ(r.queue.dropped, 0u);
+    } else {
+      EXPECT_GT(r.queue.dropped, 0u);
+    }
+  }
 }
 
 }  // namespace

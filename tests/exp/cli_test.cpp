@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <tuple>
 
 namespace radiocast::cli {
 namespace {
@@ -79,6 +80,29 @@ TEST(Cli, ValidateRejectsBadSpecWithExitCode1) {
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("error:"), std::string::npos);
   EXPECT_EQ(run_cli({"validate", dir + "/nonexistent.json"}).code, 1);
+}
+
+TEST(Cli, TopologyTooSmallForItsFamilyFailsCleanly) {
+  const std::string dir = temp_dir("cli_tiny_topology");
+  const auto spec = [&](const std::string& family, int n) {
+    const std::string path = dir + "/" + family + std::to_string(n) + ".json";
+    write_file(path, R"({"id":"tiny","topology":{"family":")" + family + R"(","n":)" +
+                         std::to_string(n) + R"(},"k":[2],"seeds":1})");
+    return path;
+  };
+  for (const auto& [family, n, min_n] :
+       {std::tuple<std::string, int, int>{"path", 3, 4}, {"barbell", 5, 6}}) {
+    const std::string expect = "topology.n must be >= " + std::to_string(min_n) +
+                               " for family \"" + family + "\"";
+    for (const CliRun& r : {run_cli({"validate", spec(family, n)}),
+                            run_cli({"run", spec(family, n), "--out", dir, "--quiet"})}) {
+      EXPECT_EQ(r.code, 1) << family;
+      EXPECT_NE(r.err.find(expect), std::string::npos) << r.err;
+    }
+    EXPECT_EQ(run_cli({"run", spec(family, min_n), "--out", dir, "--quiet"}).code, 0)
+        << family;
+  }
+  EXPECT_EQ(run_cli({"run", spec("star", 4), "--out", dir, "--quiet"}).code, 0);
 }
 
 TEST(Cli, RunEmitsResultsManifestAndReport) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "graph/generators.hpp"
+
 namespace radiocast::exp {
 namespace {
 
@@ -112,6 +116,38 @@ TEST(Scenario, ValidationCatchesBadValues) {
   EXPECT_THROW(parse_scenario(R"({"id":"x","seeds":0})"), JsonError);
   EXPECT_THROW(parse_scenario(R"({"id":"x","topology":{"family":"moebius"}})"),
                JsonError);
+}
+
+TEST(Scenario, RejectsTopologiesTooSmallForTheirFamily) {
+  const auto error = [](const std::string& topology) {
+    try {
+      parse_scenario(R"({"id":"x","topology":)" + topology + "}");
+    } catch (const JsonError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // Families whose shape make_named derives from n need n >= 4 (barbell:
+  // two 3-cliques, n >= 6); the error names the family and its minimum.
+  for (const std::string& family : graph::named_families()) {
+    const std::uint32_t min_n = graph::named_min_nodes(family);
+    const std::string too_small = R"({"family":")" + family + R"(","n":)" +
+                                  std::to_string(min_n - 1) + "}";
+    EXPECT_NE(error(too_small).find("topology.n must be >= " + std::to_string(min_n) +
+                                    " for family \"" + family + "\""),
+              std::string::npos)
+        << too_small;
+    EXPECT_EQ(error(R"({"family":")" + family + R"(","n":)" + std::to_string(min_n) + "}"),
+              "");
+  }
+  EXPECT_NE(error(R"({"family":"path","n":3})"), "");
+  EXPECT_NE(error(R"({"family":"barbell","n":5})"), "");
+  EXPECT_NE(error(R"({"family":"barbell","n":4})"), "");
+  // An explicit shape knob bypasses make_named, so only n >= 2 applies.
+  EXPECT_EQ(error(R"({"family":"geometric","n":3,"radius":0.9})"), "");
+  EXPECT_EQ(error(R"({"family":"gnp","n":2,"p":0.9})"), "");
+  EXPECT_EQ(error(R"({"family":"cluster_chain","n":3,"clique_size":2})"), "");
+  EXPECT_NE(error(R"({"family":"geometric","n":1,"radius":0.9})"), "");
 }
 
 TEST(Scenario, FaultAndAuditAxesRequirePipelineAlgos) {

@@ -144,5 +144,46 @@ TEST(StreamDriver, PerNodeRateMatchesOfferedLoadSemantics) {
   EXPECT_GT(epoch_estimate_rounds(cfg.dyn), cfg.dyn.dissemination_window());
 }
 
+TEST(StreamDriver, GoldenResult) {
+  // One small overloaded run, pinned field by field: a first-hold event
+  // the driver drops or counts twice, or an epoch boundary it misses,
+  // moves at least one of these values (or trips its assertions).
+  const graph::Graph g = test_graph();
+  StreamConfig cfg = base_cfg(g, 2.0, /*epochs=*/8);
+  cfg.buffer_capacity = 6;
+  cfg.policy = BufferPolicy::kDropOld;
+  const StreamResult r = run_stream(g, cfg);
+
+  EXPECT_EQ(r.horizon, 64232u);
+  EXPECT_EQ(r.epoch_estimate, 7864u);
+  EXPECT_EQ(r.arrivals_scheduled, 281u);
+  EXPECT_EQ(r.delivered_everywhere, 101u);
+  EXPECT_EQ(r.in_system_end, 179u);
+  EXPECT_EQ(r.epochs_completed, 7u);
+  EXPECT_TRUE(r.saturated);
+  EXPECT_EQ(r.saturation_onset_round, 24912u);
+
+  EXPECT_EQ(r.queue.offered, 281u);
+  EXPECT_EQ(r.queue.admitted, 281u);
+  EXPECT_EQ(r.queue.dropped, 1u);
+  EXPECT_EQ(r.queue.backpressured, 0u);
+  EXPECT_EQ(r.queue.peak_depth, 6u);
+
+  EXPECT_EQ(r.latency.count(), 101u);
+  EXPECT_EQ(r.latency.sum(), 2394693u);
+  EXPECT_EQ(r.latency.min(), 8122u);
+  EXPECT_EQ(r.latency.max(), 39121u);
+  EXPECT_EQ(r.ledger.totals().samples, 8u);
+
+  EXPECT_EQ(r.counters.rounds, 64232u);
+  EXPECT_EQ(r.counters.transmissions, 21570u);
+  EXPECT_EQ(r.counters.deliveries, 44992u);
+  EXPECT_EQ(r.counters.collision_slots, 16550u);
+  EXPECT_EQ(r.counters.deaf_slots, 12521u);
+  EXPECT_EQ(r.counters.bits_transmitted, 4686712u);
+  EXPECT_EQ(r.counters.bits_delivered, 10545924u);
+  EXPECT_EQ(r.counters.wakeups, 16u);
+}
+
 }  // namespace
 }  // namespace radiocast::stream
