@@ -47,7 +47,7 @@ class ForwardTx final : public radio::NodeProtocol {
     const auto index = static_cast<std::size_t>(rng_.next_below(encoder_.width()));
     radio::PlainPacketMsg msg;
     msg.packet.id = radio::make_packet_id(0, static_cast<std::uint32_t>(index));
-    msg.packet.payload = encoder_.group()[index];
+    msg.packet.payload = encoder_.packet(index);
     msg.group_id = 0;
     msg.group_count = 1;
     msg.index_in_group = static_cast<std::uint16_t>(index);

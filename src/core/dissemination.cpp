@@ -198,11 +198,15 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
   if (!rng_->next_bool(decay_prob_[epoch_off_])) return std::nullopt;
 
   if (cfg_.rc.coded) {
-    if (!gs.encoder.has_value()) {
+    if (!encoder_.has_value() || encoder_group_ != j) {
+      RC_ASSERT_MSG(!encoder_.has_value() || j > encoder_group_,
+                    "FORWARD groups must come in increasing order");
+      encoder_.reset();  // free the previous group's tables before building
       std::vector<gf2::Payload> wires;
       wires.reserve(gs.packets.size());
       for (const radio::Packet& p : gs.packets) wires.push_back(packet_wire_image(p));
-      gs.encoder.emplace(std::move(wires));
+      encoder_.emplace(std::move(wires));
+      encoder_group_ = j;
     }
     radio::CodedMsg msg;
     msg.group_id = static_cast<std::uint32_t>(j);
@@ -212,11 +216,11 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
     if (gs.size <= 64) {
       // Packed fast path: the subset draw and encoded bytes are identical
       // to the BitVec route below, without materializing the BitVec.
-      msg.coeffs = gs.encoder->encode_random_word_into(*rng_, msg.payload);
+      msg.coeffs = encoder_->encode_random_word_into(*rng_, msg.payload);
     } else {
       const gf2::BitVec coeffs = gf2::BitVec::random(gs.size, *rng_);
       msg.coeffs = coeffs.to_word();
-      gs.encoder->encode_into(coeffs, msg.payload);
+      encoder_->encode_into(coeffs, msg.payload);
     }
     return msg;
   }

@@ -92,6 +92,8 @@ class DisseminationState {
   /// Diagnostics for the FORWARD benches.
   std::uint64_t rows_received() const { return rows_received_; }
   std::uint64_t redundant_rows() const { return redundant_rows_; }
+  /// GF(2) encoders this node currently holds (0 or 1: see encoder_).
+  std::size_t live_encoders() const { return encoder_.has_value() ? 1 : 0; }
 
  private:
   struct GroupState {
@@ -99,7 +101,6 @@ class DisseminationState {
     std::optional<gf2::IncrementalDecoder> decoder;
     /// Decoded packets (cached once the decoder completes).
     std::vector<radio::Packet> packets;
-    std::optional<gf2::GroupEncoder> encoder;
     bool complete = false;
   };
 
@@ -122,6 +123,14 @@ class DisseminationState {
   bool group_count_known_ = false;
   std::vector<GroupState> groups_;
   bool complete_ = false;
+
+  // The encoder of the one group this node forwards. Layer d forwards
+  // group j only in phase spacing·j + d, so the groups a node encodes come
+  // in increasing order and one slot suffices: moving to a new group
+  // drops the previous encoder, whose four-Russians tables hold up to
+  // 15·⌈w/4⌉ wire-sized XOR combinations (22 for w = 7).
+  std::optional<gf2::GroupEncoder> encoder_;
+  std::uint64_t encoder_group_ = 0;
 
   std::uint64_t rows_received_ = 0;
   std::uint64_t redundant_rows_ = 0;

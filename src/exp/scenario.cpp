@@ -421,6 +421,17 @@ void validate_scenario(const ScenarioSpec& s) {
     if (s.k.empty()) fail("k axis must not be empty");
     for (const std::uint32_t k : s.k)
       if (k == 0) fail("k values must be >= 1");
+    // n·k fits in 64 bits (both are 32-bit), so compare it against the
+    // limit divided by the per-packet bytes rather than overflow the product.
+    const std::uint64_t max_k = *std::max_element(s.k.begin(), s.k.end());
+    const std::uint64_t packet_bytes = std::uint64_t{s.payload_bytes} + 8;
+    if (s.topology.n * max_k > kMaxHeldPacketBytes / packet_bytes) {
+      const double gib = static_cast<double>(s.topology.n) * static_cast<double>(max_k) *
+                         static_cast<double>(packet_bytes) / (1ULL << 30);
+      fail("held packets need about " + std::to_string(std::llround(gib)) +
+           " GiB (topology.n * max(k) * (payload_bytes + 8) bytes), over the " +
+           std::to_string(kMaxHeldPacketBytes >> 30) + " GiB pre-flight limit");
+    }
     for (const double l : s.loss)
       if (l < 0 || l >= 1.0) fail("loss values must be in [0, 1)");
     // seq_bgi/gossip run through the plain run_algo entry point, which has

@@ -175,6 +175,13 @@ JsonValue scenario_to_json(const ScenarioSpec& spec);
 /// Canonical serialized form (pretty-printed, 2-space indent).
 std::string serialize_scenario(const ScenarioSpec& spec);
 
+/// Memory pre-flight for closed (kbroadcast) runs: every node that finishes
+/// holds all k packets, so n·max(k)·(payload_bytes + 8) bytes (payload plus
+/// the 8-byte packet id) is a floor on what the run needs. Specs whose
+/// floor exceeds this are rejected up front instead of being OOM-killed
+/// mid-run.
+inline constexpr std::uint64_t kMaxHeldPacketBytes = 1ULL << 36;
+
 /// Range/consistency checks beyond per-field types; throws JsonError.
 /// parse_scenario calls this, so hand-built specs only need it when
 /// constructed programmatically.

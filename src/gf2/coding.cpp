@@ -7,30 +7,27 @@
 
 namespace radiocast::gf2 {
 
-GroupEncoder::GroupEncoder(std::vector<Payload> packets)
-    : packets_(std::move(packets)) {
-  RC_ASSERT(!packets_.empty());
-  build_table();
+GroupEncoder::GroupEncoder(std::vector<Payload> packets) : width_(packets.size()) {
+  RC_ASSERT(width_ > 0);
+  build_table(std::move(packets));
 }
 
-void GroupEncoder::build_table() {
-  const std::size_t w = packets_.size();
-  const std::size_t chunks = (w + 3) / 4;
+void GroupEncoder::build_table(std::vector<Payload> packets) {
+  const std::size_t chunks = (width_ + 3) / 4;
   table_.assign(chunks * 15, Payload{});
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t base = 4 * c;
-    const std::size_t span = std::min<std::size_t>(4, w - base);
+    const std::size_t span = std::min<std::size_t>(4, width_ - base);
     for (std::uint32_t m = 1; m < (1u << span); ++m) {
       Payload& dst = table_[c * 15 + m - 1];
       const auto bit = static_cast<std::size_t>(std::countr_zero(m));
-      const Payload& add = packets_[base + bit];
       const std::uint32_t rest = m & (m - 1);  // m without its lowest bit
       if (rest == 0) {
-        dst = add;
+        dst = std::move(packets[base + bit]);
       } else {
-        // dst = entry(rest) ^ add in one fused pass (already built:
-        // popcount(rest) < popcount(m) and masks fill in mask order).
-        xor_payloads(dst, entry(c, rest), add);
+        // dst = entry(rest) ^ packet in one fused pass (both already
+        // built: masks fill in increasing order and 1 << bit < m here).
+        xor_payloads(dst, entry(c, rest), entry(c, 1u << bit));
       }
     }
   }
@@ -44,13 +41,13 @@ CodedRow GroupEncoder::encode(const BitVec& coeffs) const {
 }
 
 void GroupEncoder::encode_into(const BitVec& coeffs, Payload& out) const {
-  RC_ASSERT(coeffs.size() == packets_.size());
-  if (packets_.size() <= 64) {
+  RC_ASSERT(coeffs.size() == width_);
+  if (width_ <= 64) {
     encode_word_into(coeffs.to_word(), out);
     return;
   }
   out.clear();
-  const std::size_t nibbles = (packets_.size() + 3) / 4;
+  const std::size_t nibbles = (width_ + 3) / 4;
   bool first = true;
   for (std::size_t c = 0; c < nibbles; ++c) {
     const std::uint32_t nib = coeffs.nibble(c);
@@ -66,8 +63,8 @@ void GroupEncoder::encode_into(const BitVec& coeffs, Payload& out) const {
 }
 
 void GroupEncoder::encode_word_into(std::uint64_t coeffs, Payload& out) const {
-  RC_ASSERT(packets_.size() <= 64);
-  RC_ASSERT(packets_.size() == 64 || (coeffs >> packets_.size()) == 0);
+  RC_ASSERT(width_ <= 64);
+  RC_ASSERT(width_ == 64 || (coeffs >> width_) == 0);
   out.clear();
   bool first = true;
   for (std::size_t c = 0; coeffs != 0; ++c, coeffs >>= 4) {
@@ -86,11 +83,11 @@ void GroupEncoder::encode_word_into(std::uint64_t coeffs, Payload& out) const {
 }
 
 CodedRow GroupEncoder::encode_random(Rng& rng) const {
-  return encode(BitVec::random(packets_.size(), rng));
+  return encode(BitVec::random(width_, rng));
 }
 
 std::uint64_t GroupEncoder::encode_random_word_into(Rng& rng, Payload& out) const {
-  const std::size_t w = packets_.size();
+  const std::size_t w = width_;
   RC_ASSERT(w <= 64);
   // One rng() draw masked to w bits — exactly what BitVec::random(w, rng)
   // does for a one-word vector (draw, then trim), so the stream position

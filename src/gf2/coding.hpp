@@ -34,8 +34,9 @@ class GroupEncoder {
  public:
   explicit GroupEncoder(std::vector<Payload> packets);
 
-  std::size_t width() const { return packets_.size(); }
-  const std::vector<Payload>& group() const { return packets_; }
+  std::size_t width() const { return width_; }
+  /// Packet i of the group (its single-bit table entry).
+  const Payload& packet(std::size_t i) const { return entry(i / 4, 1u << (i % 4)); }
 
   /// Encodes the subset given by `coeffs` (bit i selects packet i).
   CodedRow encode(const BitVec& coeffs) const;
@@ -68,14 +69,16 @@ class GroupEncoder {
   const Payload& entry(std::size_t c, std::uint32_t mask) const {
     return table_[c * 15 + mask - 1];
   }
-  void build_table();
+  void build_table(std::vector<Payload> packets);
 
-  std::vector<Payload> packets_;
+  std::size_t width_ = 0;
   /// Four-Russians chunk tables: chunk c covers packets [4c, 4c+4);
   /// table_[c*15 + m - 1] = XOR of the packets selected by nibble m
-  /// (sized to the longest selected packet, like any XOR sum here).
-  /// Entries whose mask selects past width() stay empty and are never
-  /// addressed, because coefficient vectors never set those bits.
+  /// (sized to the longest selected packet, like any XOR sum here). The
+  /// single-bit entries are the packets themselves, so the table is the
+  /// encoder's only copy of the group. Entries whose mask selects past
+  /// width() stay empty and are never addressed, because coefficient
+  /// vectors never set those bits.
   std::vector<Payload> table_;
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "common/rng.hpp"
 #include "core/runner.hpp"
@@ -242,6 +243,58 @@ TEST(Dissemination, RootInjectsGroupsOnSpacingGrid) {
       EXPECT_EQ(sent, 0u);
     }
   }
+}
+
+TEST(Dissemination, ForwarderKeepsOneEncoderAcrossGroups) {
+  const graph::Graph g = graph::make_path(16);
+  KBroadcastConfig kcfg;
+  kcfg.know = radio::Knowledge::exact(g);
+  const ResolvedConfig rc = resolve(kcfg);
+  ASSERT_GE(rc.group_size, 2u);
+  const std::uint32_t groups = 5;
+  const std::uint32_t k = (groups - 1) * rc.group_size + 1;  // ragged last group
+  Rng prng(21);
+  const std::vector<radio::Packet> packets = make_packets(k, prng);  // sorted by id
+
+  // A layer-1 node that has heard every packet of every group in plain.
+  Rng rng(22);
+  DisseminationState node(DisseminationState::Config{rc}, 1, false, 1u, &rng);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    radio::PlainPacketMsg m;
+    m.packet = packets[i];
+    m.group_id = i / rc.group_size;
+    m.group_count = groups;
+    m.index_in_group = static_cast<std::uint16_t>(i % rc.group_size);
+    m.group_size = static_cast<std::uint16_t>(
+        std::min<std::uint32_t>(rc.group_size, k - m.group_id * rc.group_size));
+    node.on_receive(0, radio::Message{0, m});
+  }
+  ASSERT_TRUE(node.complete());
+  EXPECT_EQ(node.live_encoders(), 0u);
+
+  std::set<std::uint32_t> coded_groups;
+  const std::uint64_t rounds =
+      (1 + rc.group_spacing * static_cast<std::uint64_t>(groups)) * rc.dissem_phase_rounds;
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    const auto out = node.on_transmit(r);
+    EXPECT_LE(node.live_encoders(), 1u);
+    if (!out.has_value()) continue;
+    const auto* coded = std::get_if<radio::CodedMsg>(&*out);
+    ASSERT_NE(coded, nullptr);
+    coded_groups.insert(coded->group_id);
+    // Reference sum: a plain byte loop over the selected wire images.
+    gf2::Payload want;
+    for (std::uint16_t i = 0; i < coded->group_size; ++i) {
+      if (((coded->coeffs >> i) & 1) == 0) continue;
+      const gf2::Payload wire =
+          packet_wire_image(packets[coded->group_id * rc.group_size + i]);
+      if (want.size() < wire.size()) want.resize(wire.size(), 0);
+      for (std::size_t b = 0; b < wire.size(); ++b) want[b] ^= wire[b];
+    }
+    EXPECT_EQ(coded->payload, want) << "group " << coded->group_id;
+  }
+  EXPECT_EQ(coded_groups.size(), groups);
+  EXPECT_EQ(node.live_encoders(), 1u);
 }
 
 }  // namespace

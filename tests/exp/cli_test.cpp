@@ -105,6 +105,19 @@ TEST(Cli, TopologyTooSmallForItsFamilyFailsCleanly) {
   EXPECT_EQ(run_cli({"run", spec("star", 4), "--out", dir, "--quiet"}).code, 0);
 }
 
+TEST(Cli, HeldPacketPreflightFailsBeforeRunning) {
+  const std::string dir = temp_dir("cli_preflight");
+  const std::string path = dir + "/huge.json";
+  write_file(path, R"({"id":"huge","topology":{"family":"path","n":5},)"
+                   R"("k":[4000000000],"seeds":1})");
+  for (const CliRun& r :
+       {run_cli({"validate", path}), run_cli({"run", path, "--out", dir, "--quiet"})}) {
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("held packets need about 447"), std::string::npos) << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/huge.results.json"));
+}
+
 TEST(Cli, RunEmitsResultsManifestAndReport) {
   const std::string dir = temp_dir("cli_run");
   write_file(dir + "/spec.json", kTinySpec);

@@ -150,6 +150,28 @@ TEST(Scenario, RejectsTopologiesTooSmallForTheirFamily) {
   EXPECT_NE(error(R"({"family":"geometric","n":1,"radius":0.9})"), "");
 }
 
+TEST(Scenario, RejectsClosedRunsWhoseHeldPacketsCannotFit) {
+  const auto error = [](const std::string& fields) {
+    try {
+      parse_scenario(R"({"id":"x","topology":{"family":"path","n":5},)" + fields + "}");
+    } catch (const JsonError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // 5 nodes * 4e9 packets * (16 + 8) bytes = 447 GiB of held packets.
+  const std::string big = error(R"("k":[4, 4000000000])");
+  EXPECT_NE(big.find("held packets need about 447"), std::string::npos) << big;
+  EXPECT_NE(big.find("64 GiB pre-flight limit"), std::string::npos) << big;
+  // The floor is n * max(k) * (payload_bytes + 8): the largest k that fits
+  // passes, one more packet per node does not.
+  const std::uint64_t fit = kMaxHeldPacketBytes / (5 * (100 + 8));
+  EXPECT_EQ(error(R"("payload_bytes":100,"k":[)" + std::to_string(fit) + "]"), "");
+  EXPECT_NE(error(R"("payload_bytes":100,"k":[)" + std::to_string(fit + 1) + "]"), "");
+  // Open-system modes size their batches per epoch; the check is closed-run only.
+  EXPECT_EQ(error(R"("mode":"stream","k":[4000000000])"), "");
+}
+
 TEST(Scenario, FaultAndAuditAxesRequirePipelineAlgos) {
   // seq_bgi/gossip run through run_algo, which has no fault/CD/audit taps;
   // silently dropping those axes would fabricate results.
