@@ -1,24 +1,18 @@
 // Engine microbenchmark: isolates radio::Network::step from all protocol
-// logic (ISSUE 4 satellite; ISSUE 7 added the engine axis).
+// logic.
 //
 // Every node runs a fixed per-node 64-bit transmission schedule — no RNG
 // draws, no protocol state, no decoding — so the measured cost is the
-// engine itself. Each workload runs once per selected engine mode
-// (--engine scalar|bitset|both, default both) and every row carries an
-// `engine` column; the deterministic counter columns must agree between
-// the two engines row for row (same model, same schedule), which the
-// pinned baseline enforces.
+// engine itself. The pinned baseline's deterministic counter columns
+// therefore pin the engine's observable behavior on each schedule.
 //
 // Workload families:
 //
 //   dense / sparse      generic PlainPacketMsg protocols on a gnp graph
-//                       (p=1/4 resp. 1/64 transmit probability) — the
-//                       virtual on_transmit path in both engines.
-//   alarm               one-bit AlarmMsg schedule on the same graph, with
-//                       a PackedTransmitSource registered so the bitset
-//                       engine takes its bulk Phase-1 path.
+//                       (p=1/4 resp. 1/64 transmit probability).
+//   alarm               one-bit AlarmMsg schedule on the same graph.
 //   alarm_dense_100k    full mode only: n=10^5, degree~16 locality-window
-//                       graph — the ISSUE 7 5x acceptance row.
+//                       graph, collision-dominated schedule.
 //   alarm_sparse_1m     full mode only: n=10^6 sparse window graph — the
 //                       million-node completion row.
 //
@@ -89,8 +83,7 @@ class ScheduledNode final : public radio::NodeProtocol {
 };
 
 /// One-bit variant of ScheduledNode: same schedule semantics, AlarmMsg on
-/// the air. This is the scalar-side twin of ScheduledAlarmSource — the two
-/// must agree bit for bit so scalar and bitset rows stay comparable.
+/// the air.
 class ScheduledAlarmNode final : public radio::NodeProtocol {
  public:
   explicit ScheduledAlarmNode(std::uint64_t pattern) : pattern_(pattern) {}
@@ -109,40 +102,6 @@ class ScheduledAlarmNode final : public radio::NodeProtocol {
   std::uint64_t receptions_ = 0;
 };
 
-/// Bulk transmit source for the alarm schedule: the per-node patterns are
-/// pre-transposed into 64 phase rows (phase p row = one bit per node, set
-/// iff bit p of that node's pattern is set), so fill_transmit_words is a
-/// single row copy — the engine-side cost of the schedule is O(n/64) words
-/// instead of n virtual calls.
-class ScheduledAlarmSource final : public radio::PackedTransmitSource {
- public:
-  ScheduledAlarmSource(const std::vector<std::uint64_t>& patterns) {
-    const std::size_t words = (patterns.size() + 63) / 64;
-    phase_rows_.assign(64, std::vector<std::uint64_t>(words, 0));
-    for (std::size_t v = 0; v < patterns.size(); ++v) {
-      for (std::uint32_t p = 0; p < 64; ++p) {
-        if ((patterns[v] >> p) & 1)
-          phase_rows_[p][v >> 6] |= 1ULL << (v & 63);
-      }
-    }
-  }
-
-  void fill_transmit_words(radio::Round round, std::uint64_t* words,
-                           std::size_t num_words) override {
-    const std::vector<std::uint64_t>& row = phase_rows_[round & 63];
-    const std::size_t n = std::min(num_words, row.size());
-    std::memcpy(words, row.data(), n * sizeof(std::uint64_t));
-    if (n < num_words) std::memset(words + n, 0, (num_words - n) * sizeof(std::uint64_t));
-  }
-
-  radio::MessageBody packed_body(radio::Round /*round*/, radio::NodeId /*from*/) override {
-    return radio::AlarmMsg{};
-  }
-
- private:
-  std::vector<std::vector<std::uint64_t>> phase_rows_;
-};
-
 /// A pattern word with exactly `ones` bits set, placed by the rng — the
 /// per-round transmit probability is ones/64, identical across reps.
 std::uint64_t make_pattern(std::uint32_t ones, Rng& rng) {
@@ -154,10 +113,8 @@ std::uint64_t make_pattern(std::uint32_t ones, Rng& rng) {
 }
 
 /// Ring + random chords within a +-`window` id window (wraparound), target
-/// degree ~`deg`. Built in O(n * deg): the bounded window keeps every CSR
-/// row inside at most ceil(2*window/64)+1 words, the regime the packed
-/// adjacency compresses best — and a plausible stand-in for the unit-disk
-/// topologies the paper's model targets.
+/// degree ~`deg`. Built in O(n * deg), and a plausible stand-in for the
+/// unit-disk topologies the paper's model targets.
 graph::Graph make_window_graph(graph::NodeId n, std::uint32_t window, std::uint32_t deg,
                                Rng& rng) {
   graph::Graph g(n);
@@ -175,7 +132,7 @@ graph::Graph make_window_graph(graph::NodeId n, std::uint32_t window, std::uint3
 struct Workload {
   std::string name;
   std::uint32_t pattern_ones;  // transmit probability = ones/64
-  bool alarm = false;          // AlarmMsg schedule + packed source on bitset
+  bool alarm = false;          // AlarmMsg schedule instead of plain packets
 };
 
 struct RowResult {
@@ -206,10 +163,10 @@ double touched_bytes_model(const RowResult& r) {
 }
 
 RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t rounds,
-                       int reps, radio::EngineMode engine) {
+                       int reps) {
   const std::uint32_t n = g.num_nodes();
   // Deterministic per-node schedule + payloads (fixed seed, shared by the
-  // accounting pass, every timed rep, and both engine modes).
+  // accounting pass and every timed rep).
   Rng pattern_rng(0xe57a6eull * (w.pattern_ones + 1));
   std::vector<std::uint64_t> patterns(n);
   std::vector<radio::Packet> packets(w.alarm ? 0 : n);
@@ -238,14 +195,9 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
   }
   for (std::uint64_t r = 0; r < rounds; ++r) row.sum_tx_degree += phase_deg[r & 63];
 
-  std::optional<ScheduledAlarmSource> source;
-  if (w.alarm && engine == radio::EngineMode::kBitset) source.emplace(patterns);
-
   row.best_seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     radio::Network net(g);
-    net.set_engine(engine);
-    if (source) net.set_packed_source(&*source);
     for (radio::NodeId v = 0; v < n; ++v) {
       if (w.alarm) {
         net.set_protocol(v, std::make_unique<ScheduledAlarmNode>(patterns[v]));
@@ -264,7 +216,7 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
 }
 
 void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Workload& w,
-              radio::EngineMode engine, const RowResult& row) {
+              const RowResult& row) {
   const radio::TraceCounters& c = row.counters;
   const std::uint64_t touched =
       c.deliveries + c.collision_slots + c.deaf_slots + c.fault_drops;
@@ -276,7 +228,6 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
   const double bytes_per_round = touched_bytes_model(row);
   table.row()
       .add(w.name)
-      .add(radio::engine_mode_name(engine))
       .add(row.n)
       .add(row.rounds)
       .add(tx_per_round, 1)
@@ -285,7 +236,6 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
       .add(bytes_per_round, 0);
   json.row()
       .col("workload", w.name)
-      .col("engine", radio::engine_mode_name(engine))
       .col("n", row.n)
       .col("rounds", row.rounds)
       .col("transmissions", c.transmissions)
@@ -302,30 +252,20 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string engine_arg = "both";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine_arg = argv[++i];
+    } else {
+      std::cerr << "usage: bench_engine_step [--smoke]\n";
+      return 1;
     }
-  }
-  std::vector<radio::EngineMode> engines;
-  if (engine_arg == "scalar" || engine_arg == "both")
-    engines.push_back(radio::EngineMode::kScalar);
-  if (engine_arg == "bitset" || engine_arg == "both")
-    engines.push_back(radio::EngineMode::kBitset);
-  if (engines.empty()) {
-    std::cerr << "usage: bench_engine_step [--smoke] [--engine scalar|bitset|both]\n";
-    return 1;
   }
 
   benchutil::banner("engine_step",
                     "Network::step in isolation: rounds/sec and bytes-touched/round "
-                    "on fixed dense/sparse transmission schedules, per engine mode");
+                    "on fixed dense/sparse transmission schedules");
   benchutil::JsonReport json("engine_step");
   json.meta("smoke", smoke ? "1" : "0");
-  json.meta("engines", engine_arg);
 
   const std::uint32_t n = smoke ? 512 : 2048;
   const std::uint64_t rounds = smoke ? 1024 : 4096;
@@ -338,21 +278,18 @@ int main(int argc, char** argv) {
   print_meta(std::cout, "graph", "gnp " + g.summary());
   json.meta("graph", g.summary());
 
-  radiocast::Table table({"workload", "engine", "n", "rounds", "tx/round",
-                          "touched/round", "rounds/sec", "est bytes/round"});
+  radiocast::Table table({"workload", "n", "rounds", "tx/round", "touched/round",
+                          "rounds/sec", "est bytes/round"});
   const std::vector<Workload> workloads = {
       {"dense", 16}, {"sparse", 1}, {"alarm", 16, /*alarm=*/true}};
   for (const Workload& w : workloads) {
-    for (const radio::EngineMode engine : engines) {
-      emit_row(table, json, w, engine, run_workload(g, w, rounds, reps, engine));
-    }
+    emit_row(table, json, w, run_workload(g, w, rounds, reps));
   }
 
   if (!smoke) {
-    // The ISSUE 7 acceptance rows: a 10^5-node dense alarm schedule (the
-    // bitset engine must clear >= 5x the scalar rounds/sec here) and a
-    // 10^6-node sparse sweep that must simply complete. Window topologies
-    // keep graph construction O(n * deg) and CSR rows word-compact.
+    // Scale rows: a 10^5-node dense alarm schedule and a 10^6-node sparse
+    // sweep that must simply complete. Window topologies keep graph
+    // construction O(n * deg).
     Rng big_rng(0xb16b00b5ull);
     const graph::Graph g100k = make_window_graph(100000, 64, 16, big_rng);
     print_meta(std::cout, "graph_100k", "window " + g100k.summary());
@@ -360,18 +297,13 @@ int main(int argc, char** argv) {
     print_meta(std::cout, "graph_1m", "window " + g1m.summary());
 
     // p = 24/64: the collision-dominated regime (the one the Decay
-    // analysis lives in) — most slots carry >= 2 transmitters, which the
-    // bitset engine classifies by popcount instead of per-node walks.
+    // analysis lives in) — most slots carry >= 2 transmitters.
     const Workload dense_big{"alarm_dense_100k", 24, /*alarm=*/true};
     const Workload sparse_big{"alarm_sparse_1m", 1, /*alarm=*/true};
-    for (const radio::EngineMode engine : engines) {
-      emit_row(table, json, dense_big, engine,
-               run_workload(g100k, dense_big, /*rounds=*/256, /*reps=*/1, engine));
-    }
-    for (const radio::EngineMode engine : engines) {
-      emit_row(table, json, sparse_big, engine,
-               run_workload(g1m, sparse_big, /*rounds=*/64, /*reps=*/1, engine));
-    }
+    emit_row(table, json, dense_big,
+             run_workload(g100k, dense_big, /*rounds=*/256, /*reps=*/1));
+    emit_row(table, json, sparse_big,
+             run_workload(g1m, sparse_big, /*rounds=*/64, /*reps=*/1));
   }
 
   table.print(std::cout);

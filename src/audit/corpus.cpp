@@ -53,7 +53,7 @@ bool results_identical(const core::RunResult& a, const core::RunResult& b) {
          a.final_estimate == b.final_estimate && a.counters == b.counters;
 }
 
-CorpusOutcome run_corpus_case(const CorpusCase& c, radio::EngineMode engine) {
+CorpusOutcome run_corpus_case(const CorpusCase& c) {
   Rng graph_rng(c.graph_seed);
   const graph::Graph g = graph::make_named(c.family, c.n, graph_rng);
 
@@ -75,13 +75,11 @@ CorpusOutcome run_corpus_case(const CorpusCase& c, radio::EngineMode engine) {
   out.audited = core::run_kbroadcast(g, cfg, placement, c.run_seed,
                                      /*max_rounds=*/0, faults,
                                      /*observer=*/nullptr, &auditor,
-                                     c.collision_detection, /*tracer=*/nullptr,
-                                     engine);
+                                     c.collision_detection);
   out.unaudited = core::run_kbroadcast(g, cfg, placement, c.run_seed,
                                        /*max_rounds=*/0, faults,
                                        /*observer=*/nullptr, /*auditor=*/nullptr,
-                                       c.collision_detection, /*tracer=*/nullptr,
-                                       engine);
+                                       c.collision_detection);
   out.report = auditor.report();
   out.delivered = out.audited.delivered_all;
   out.bit_identical = results_identical(out.audited, out.unaudited);

@@ -59,11 +59,7 @@ struct CorpusOutcome {
 /// accounting, verification flags, and all trace counters).
 bool results_identical(const core::RunResult& a, const core::RunResult& b);
 
-/// Runs one corpus case twice (audited + unaudited) and reports. `engine`
-/// selects the round kernel for both runs; the bitset engine must clear
-/// the corpus exactly like the scalar one (tests/audit/bitset_corpus_test
-/// additionally pins cross-engine result equality).
-CorpusOutcome run_corpus_case(const CorpusCase& c,
-                              radio::EngineMode engine = radio::EngineMode::kScalar);
+/// Runs one corpus case twice (audited + unaudited) and reports.
+CorpusOutcome run_corpus_case(const CorpusCase& c);
 
 }  // namespace radiocast::audit

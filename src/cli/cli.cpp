@@ -25,8 +25,7 @@ constexpr const char* kUsage = R"(radiocast — declarative experiment orchestra
 
 usage:
   radiocast run <spec.json> [--out DIR] [--seeds N] [--threads N]
-                [--engine scalar|bitset] [--audit] [--quiet]
-                [--require-delivery]
+                [--audit] [--quiet] [--require-delivery]
   radiocast trace <spec.json> [run options]
   radiocast report <results.json> [--out FILE]
   radiocast validate <spec.json>
@@ -40,7 +39,7 @@ trace     run with per-packet telemetry + flight paths forced on; also
 report    render a results file as a markdown table
 validate  parse + validate a spec, print its canonical resolved form
 list      summarize the scenario files in DIR (default: scenarios/)
-version   build provenance (git describe, compiler, flags, engines, simd)
+version   build provenance (git describe, compiler, flags, simd)
 
 exit codes: 0 ok | 1 usage/spec/IO error | 2 audit violations
             3 delivery failure (with --require-delivery)
@@ -77,7 +76,6 @@ int parse_int_flag(const std::string& flag, const std::string& value,
 int cmd_run(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err, bool trace_mode = false) {
   std::string spec_path, out_dir = ".";
-  std::string engine_override;
   int seeds_override = 0, threads_override = -1;
   bool audit_override = false, quiet = false, require_delivery = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -92,8 +90,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       seeds_override = parse_int_flag(a, next(), 1);
     } else if (a == "--threads") {
       threads_override = parse_int_flag(a, next(), 0);
-    } else if (a == "--engine") {
-      engine_override = next();
     } else if (a == "--audit") {
       audit_override = true;
     } else if (a == "--quiet") {
@@ -114,7 +110,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   if (seeds_override > 0) spec.seeds = seeds_override;
   if (threads_override >= 0) spec.threads = threads_override;
   if (audit_override) spec.audit = true;
-  if (!engine_override.empty()) spec.engine = engine_override;
   if (trace_mode) {
     spec.telemetry.enabled = true;
     spec.telemetry.flight_paths = true;
@@ -273,7 +268,6 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
           << "  compiler:   " << b.compiler << "\n"
           << "  build_type: " << b.build_type << "\n"
           << "  cxx_flags:  " << b.cxx_flags << "\n"
-          << "  engines:    scalar, bitset\n"
           << "  simd:       " << gf2::simd_kernel_name() << "\n";
       return 0;
     }

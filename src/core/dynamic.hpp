@@ -31,7 +31,7 @@
 // machine's next-active-round hint (radio::NodeProtocol::
 // set_next_active_round) — leader election's capped at the BFS start,
 // BFS construction's at the end of setup, and dissemination's at the end
-// of the window — so the scalar engine skips the node's silent rounds
+// of the window — so the engine skips the node's silent rounds
 // without ever skipping a phase switch. Collection's own hint already
 // lands on its phase boundaries. inject() and the stream layer's offer()
 // cannot invalidate a published hint: pending packets are read only at

@@ -76,7 +76,7 @@ std::vector<RunResult> run_kbroadcast_sweep(const KBroadcastSweep& sweep,
         return run_kbroadcast(*sweep.graph, sweep.cfg, placement,
                               sweep.run_seed(t), sweep.max_rounds, faults,
                               observer, auditor, sweep.collision_detection,
-                              tracer, sweep.engine);
+                              tracer);
       },
       opts);
 }

@@ -91,9 +91,6 @@ struct KBroadcastSweep {
   std::function<obs::PacketTracer*(int)> tracer;
   /// Engine ablation: run every trial with collision detection enabled.
   bool collision_detection = false;
-  /// Round kernel for every trial (see radio::EngineMode; both kernels
-  /// produce identical results).
-  radio::EngineMode engine = radio::EngineMode::kScalar;
 };
 
 /// Runs `trials` independent k-broadcast trials; results in trial order.

@@ -17,7 +17,7 @@
 // Every transmit decision also publishes an idle-skipping hint (see
 // radio::NodeProtocol::set_next_active_round): the earliest round the
 // current stage's state machine may act in, capped at the next stage
-// boundary, so the scalar engine skips the node's silent rounds.
+// boundary, so the engine skips the node's silent rounds.
 #pragma once
 
 #include <cstdint>

@@ -78,8 +78,7 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          const Placement& placement, std::uint64_t seed,
                          std::uint64_t max_rounds, const radio::FaultModel& faults,
                          obs::RunObserver* observer, RunAuditor* auditor,
-                         bool collision_detection, obs::PacketTracer* tracer,
-                         radio::EngineMode engine) {
+                         bool collision_detection, obs::PacketTracer* tracer) {
   RC_ASSERT(g.finalized());
   RC_ASSERT(placement.size() == g.num_nodes());
   const ResolvedConfig rc = resolve(cfg);
@@ -121,7 +120,6 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
   // network so it outlives the non-owning pointers handed to it).
   radio::ProtocolSlab<KBroadcastNode> slab(g.num_nodes());
   radio::Network net(g);
-  net.set_engine(engine);
   if (faults.reception_loss_probability > 0.0) net.set_fault_model(faults);
   if (collision_detection) net.enable_collision_detection(true);
   net.set_observer(observer);

@@ -103,8 +103,6 @@ struct RunResult {
 /// read-only: a traced run is bit-identical to an untraced one.
 /// Note: a run with zero packets returns vacuously without building a
 /// network, so the auditor and tracer are never invoked for it.
-/// `engine` selects the round kernel (see radio::EngineMode); both modes
-/// produce identical results, pinned by the differential oracle tests.
 RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          const Placement& placement, std::uint64_t seed,
                          std::uint64_t max_rounds = 0,
@@ -112,7 +110,6 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          obs::RunObserver* observer = nullptr,
                          RunAuditor* auditor = nullptr,
                          bool collision_detection = false,
-                         obs::PacketTracer* tracer = nullptr,
-                         radio::EngineMode engine = radio::EngineMode::kScalar);
+                         obs::PacketTracer* tracer = nullptr);
 
 }  // namespace radiocast::core

@@ -265,7 +265,7 @@ struct Builder {
             spec.telemetry.enabled ? digest_string(telemetry) : std::string());
 
     JsonObject env;
-    env.set("engine", spec.engine);
+    env.set("engine", kEngineName);
     env.set("simd", std::string(gf2::simd_kernel_name()));
     env.set("threads", static_cast<std::int64_t>(resolved_threads));
     env.set("timestamp_utc", "");  // filled by the CLI; excluded from digests
@@ -344,8 +344,6 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
       sweep.run_seed = [&spec](int t) { return run_seed(spec, t); };
       sweep.max_rounds = spec.max_rounds;
       sweep.collision_detection = cell.cd;
-      sweep.engine = spec.engine == "bitset" ? radio::EngineMode::kBitset
-                                             : radio::EngineMode::kScalar;
       if (cell.loss > 0) {
         sweep.faults = [&spec, &cell](int t) {
           radio::FaultModel f;

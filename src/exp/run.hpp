@@ -27,8 +27,8 @@ namespace radiocast::exp {
 /// Digest of everything a reproduction of one trial must match
 /// bit-for-bit: delivery outcome, all round counts, and the engine's
 /// channel counters. These are the per-trial digests pinned in manifests;
-/// public so invariance tests (engine modes, thread counts) can compare
-/// fresh runs against pinned literals.
+/// public so invariance tests (thread counts, hinted vs unhinted runs)
+/// can compare fresh runs against pinned literals.
 std::string digest_run(const core::RunResult& r);
 
 /// Everything one scenario execution produced.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <numbers>
 
 #include "graph/generators.hpp"
 #include "stream/arrivals.hpp"
@@ -252,7 +253,10 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
   opt_u64(o, "scenario", "seed_base", s.seed_base);
   opt_u64(o, "scenario", "max_rounds", s.max_rounds);
   opt_bool(o, "scenario", "audit", s.audit);
-  opt_string(o, "scenario", "engine", s.engine);
+  std::string engine = kEngineName;
+  opt_string(o, "scenario", "engine", engine);
+  if (engine != kEngineName)
+    throw JsonError("scenario.engine: only \"scalar\" exists (got \"" + engine + "\")");
   opt_int(o, "scenario", "threads", s.threads);
   if (const JsonValue* v = o.find("telemetry"))
     s.telemetry = parse_telemetry(*v, "scenario.telemetry");
@@ -320,11 +324,9 @@ JsonValue scenario_to_json(const ScenarioSpec& s) {
   o.set("seed_base", s.seed_base);
   o.set("max_rounds", s.max_rounds);
   o.set("audit", s.audit);
-  // "engine" IS part of the spec identity (unlike "threads"): the round
-  // kernel is pinned result-identical across modes, but provenance must
-  // record which kernel produced a table, so changing it changes every
-  // digest (see docs/experiments.md).
-  o.set("engine", s.engine);
+  // "engine" is a constant kept only so existing spec digests stay valid
+  // (see kEngineName).
+  o.set("engine", kEngineName);
   // "threads" is deliberately absent: it is an execution knob, not part
   // of the experiment's identity, so it may not perturb spec digests.
   o.set("telemetry", JsonValue(std::move(telem)));
@@ -376,6 +378,18 @@ void validate_scenario(const ScenarioSpec& s) {
          " for family \"" + s.topology.family + "\"");
   if (s.topology.radius < 0 || s.topology.radius > 2.0) fail("topology.radius out of range");
   if (s.topology.p < 0 || s.topology.p > 1.0) fail("topology.p out of range");
+  {
+    const double pairs =
+        static_cast<double>(s.topology.n) * (static_cast<double>(s.topology.n) - 1) / 2;
+    double edges = 0;
+    if (s.topology.family == "gnp") edges = s.topology.p * pairs;
+    if (s.topology.family == "geometric")
+      edges = pairs * std::min(1.0, std::numbers::pi * s.topology.radius * s.topology.radius);
+    if (edges > static_cast<double>(kMaxExpectedEdges))
+      fail("topology expects about " + std::to_string(std::llround(edges)) +
+           " edges, over the " + std::to_string(kMaxExpectedEdges) +
+           "-edge pre-flight limit");
+  }
 
   if (s.knowledge.mode != "exact" && s.knowledge.mode != "padded")
     fail("knowledge.mode must be \"exact\" or \"padded\"");
@@ -393,8 +407,6 @@ void validate_scenario(const ScenarioSpec& s) {
 
   if (s.seeds < 1) fail("seeds must be >= 1");
   if (s.threads < 0) fail("threads must be >= 0");
-  if (s.engine != "scalar" && s.engine != "bitset")
-    fail("engine must be \"scalar\" or \"bitset\"");
 
   if (s.telemetry.enabled) {
     if (s.telemetry.ledger_rounds == 0) fail("telemetry.ledger_rounds must be >= 1");
@@ -445,16 +457,11 @@ void validate_scenario(const ScenarioSpec& s) {
     if (needs_sweep_engine && (has_faults || has_cd || s.audit))
       fail("loss > 0, collision_detection and audit require algos within "
            "{coded, uncoded}");
-    // Same restriction for the engine knob: seq_bgi/gossip run through the
-    // plain run_algo entry point, which always uses the scalar kernel.
-    if (needs_sweep_engine && s.engine != "scalar")
-      fail("engine \"bitset\" requires algos within {coded, uncoded}");
   } else if (s.mode == "dynamic") {
     if (s.dynamic.load.empty()) fail("dynamic.load must not be empty");
     for (const double l : s.dynamic.load)
       if (l <= 0 || l > 16) fail("dynamic.load values must be in (0, 16]");
     if (s.audit) fail("audit is not supported in dynamic mode");
-    if (s.engine != "scalar") fail("engine \"bitset\" is not supported in dynamic mode");
   } else {  // stream
     if (s.stream.rate.empty()) fail("stream.rate must not be empty");
     for (const double r : s.stream.rate)
@@ -474,9 +481,7 @@ void validate_scenario(const ScenarioSpec& s) {
     if (s.stream.horizon_epochs == 0) fail("stream.horizon_epochs must be >= 1");
     if (s.stream.saturation_window == 0)
       fail("stream.saturation_window must be >= 1");
-    // The protocol nodes run the scalar round kernel in this mode (as in
-    // dynamic mode); the CD/fault ablations are closed-run axes.
-    if (s.engine != "scalar") fail("engine \"bitset\" is not supported in stream mode");
+    // The CD/fault ablations are closed-run axes.
     const bool has_faults =
         std::any_of(s.loss.begin(), s.loss.end(), [](double l) { return l > 0; });
     const bool has_cd =

@@ -152,10 +152,6 @@ struct ScenarioSpec {
 
   std::uint64_t max_rounds = 0;  ///< 0 = schedule-derived bound
   bool audit = false;  ///< attach a ModelAuditor to every trial
-  /// Round kernel: "scalar" (reference) or "bitset" (bit-parallel, result-
-  /// identical). Part of the spec identity — changing it changes every
-  /// digest, so tables always record which kernel produced them.
-  std::string engine = "scalar";
   int threads = 0;     ///< 0 = RADIOCAST_BENCH_THREADS / hardware
 
   TelemetrySpec telemetry;
@@ -175,12 +171,24 @@ JsonValue scenario_to_json(const ScenarioSpec& spec);
 /// Canonical serialized form (pretty-printed, 2-space indent).
 std::string serialize_scenario(const ScenarioSpec& spec);
 
+/// The round kernel's name. The spec's "engine" key accepts only this
+/// value, and the canonical form and the manifest environment always carry
+/// it, so spec digests made when a second kernel existed stay valid.
+inline constexpr const char* kEngineName = "scalar";
+
 /// Memory pre-flight for closed (kbroadcast) runs: every node that finishes
 /// holds all k packets, so n·max(k)·(payload_bytes + 8) bytes (payload plus
 /// the 8-byte packet id) is a floor on what the run needs. Specs whose
 /// floor exceeds this are rejected up front instead of being OOM-killed
 /// mid-run.
 inline constexpr std::uint64_t kMaxHeldPacketBytes = 1ULL << 36;
+
+/// Topology pre-flight: specs whose expected undirected edge count
+/// (p·n(n−1)/2 for gnp, n(n−1)/2·min(1, πr²) for geometric with an
+/// explicit radius) exceeds this are rejected before the graph is built.
+/// At 2^30 edges the CSR adjacency alone takes 8 GiB, on top of the
+/// builder's per-vertex lists.
+inline constexpr std::uint64_t kMaxExpectedEdges = 1ULL << 30;
 
 /// Range/consistency checks beyond per-field types; throws JsonError.
 /// parse_scenario calls this, so hand-built specs only need it when

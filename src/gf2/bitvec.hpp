@@ -123,12 +123,10 @@ class BitVec {
 
   // --- word-span view -------------------------------------------------
   //
-  // The bit-parallel round engine operates on BitVecs as raw uint64_t
-  // arrays (AND/popcount sweeps over CSR rows). The span accessors expose
-  // the packed words directly; callers that write through the mutable
-  // span must call clear_excess_bits() before handing the vector back to
-  // bit-level code, since bits past size() in the last word are otherwise
-  // unspecified.
+  // The span accessors expose the packed words directly; callers that
+  // write through the mutable span must call clear_excess_bits() before
+  // handing the vector back to bit-level code, since bits past size() in
+  // the last word are otherwise unspecified.
 
   /// Number of 64-bit words backing the vector (= ceil(size/64)).
   std::size_t num_words() const { return words_.size(); }

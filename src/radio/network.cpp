@@ -1,29 +1,12 @@
 #include "radio/network.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace radiocast::radio {
-
-const char* engine_mode_name(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kScalar:
-      return "scalar";
-    case EngineMode::kBitset:
-      return "bitset";
-  }
-  return "scalar";
-}
-
-std::optional<EngineMode> parse_engine_mode(std::string_view name) {
-  if (name == "scalar") return EngineMode::kScalar;
-  if (name == "bitset") return EngineMode::kBitset;
-  return std::nullopt;
-}
 
 Network::Network(const graph::Graph& graph)
     : graph_(graph),
@@ -104,21 +87,9 @@ void Network::set_test_mutations(const EngineMutations& mutations) {
   mutations_ = mutations;
 }
 
-void Network::set_engine(EngineMode mode) {
-  RC_ASSERT_MSG(!started_, "set_engine after the simulation started");
-  engine_ = mode;
-}
-
-void Network::set_packed_source(PackedTransmitSource* source) {
-  RC_ASSERT_MSG(!started_ || source == nullptr,
-                "set_packed_source after the simulation started");
-  packed_source_ = source;
-}
-
 void Network::wake(NodeId id) {
   if (!awake_[id]) {
     awake_[id] = 1;
-    if (bitset_ready_) awake_bits_.words()[id >> 6] |= 1ULL << (id & 63);
     awake_list_.push_back(id);
     awake_list_dirty_ = true;
     next_active_[id] = 0;
@@ -177,14 +148,9 @@ void Network::step() {
       RC_ASSERT_MSG(protocols_[id] != nullptr, "every node needs a protocol");
     }
 #endif
-    if (engine_ == EngineMode::kBitset) ensure_bitset_buffers();
   }
 
-  if (engine_ == EngineMode::kBitset) {
-    round_bitset();
-  } else {
-    round_scalar();
-  }
+  round_scalar();
 
   if (auditor_ != nullptr) auditor_->on_round_end(round_);
   if (observer_ != nullptr) report_round(round_);
@@ -385,359 +351,6 @@ void Network::round_scalar() {
     }
   }
   for (const NodeId from : tx_from_) transmitting_[from] = 0;
-}
-
-void Network::ensure_bitset_buffers() {
-  if (bitset_ready_) return;
-  const std::size_t n = num_nodes();
-  tx_bits_.resize(n);
-  once_bits_.resize(n);
-  twice_bits_.resize(n);
-  awake_bits_.resize(n);
-  tx_index_of_.assign(n, kInvalidTx);
-  first_src_.resize(n + 1);
-  for (const NodeId id : awake_list_) {
-    awake_bits_.words()[id >> 6] |= 1ULL << (id & 63);
-  }
-  packed_rows_ = graph::PackedRows::build(graph_);
-  bitset_ready_ = true;
-}
-
-std::uint32_t Network::materialize_packed_tx(NodeId from) {
-  const auto idx = static_cast<std::uint32_t>(transmissions_.size());
-  Message& slot = transmissions_.emplace_back();
-  slot.from = from;
-  slot.body = packed_source_->packed_body(round_, from);
-  tx_meta_.push_back({static_cast<std::uint32_t>(message_size_bits(slot.body)),
-                      static_cast<std::uint32_t>(message_kind_index(slot.body))});
-  tx_from_.push_back(from);
-  tx_index_of_[from] = idx;
-  return idx;
-}
-
-void Network::round_bitset() {
-  const bool events = trace_.events_enabled();
-  const bool faults_on = fault_model_.reception_loss_probability > 0.0;
-  const bool mutations_on = mutations_.deliver_on_collision ||
-                            mutations_.deliver_while_transmitting ||
-                            mutations_.skip_wake_on_receive;
-  // The exact sub-path replays the scalar engine's receiver-touch order:
-  // the fault RNG stream is defined by that order (see FaultModel), and
-  // auditors, the event log, and the seeded-bug mutations all observe it.
-  // With none of those attached, per-node outcomes are order-independent
-  // (protocols only interact through the channel, which this round's
-  // transmit set already fixes), so the fast sub-path may classify
-  // receivers word-wise in id order and still reach the identical
-  // end-of-round state — pinned by the differential oracle tests.
-  const bool exact = auditor_ != nullptr || faults_on || events || mutations_on;
-
-  for (Message& spent : transmissions_) payload_arena_->recycle_body(spent.body);
-  transmissions_.clear();
-  tx_meta_.clear();
-  tx_from_.clear();
-  if (awake_list_dirty_) {
-    std::sort(awake_list_.begin(), awake_list_.end());
-    awake_list_dirty_ = false;
-  }
-
-  const std::size_t nw = tx_bits_.num_words();
-  std::uint64_t* const tx = tx_bits_.words().data();
-  std::uint64_t* const once = once_bits_.words().data();
-  std::uint64_t* const twice = twice_bits_.words().data();
-  std::fill_n(once, nw, 0);
-  std::fill_n(twice, nw, 0);
-
-  // Phase 1: this round's transmit set, as bits. With a packed source the
-  // whole round is one bulk fill + awake mask; otherwise the scalar
-  // engine's sorted awake scan runs unchanged (same virtual calls, same
-  // order) and additionally sets the bits.
-  if (packed_source_ != nullptr) {
-    packed_source_->fill_transmit_words(round_, tx, nw);
-    const std::uint64_t* const aw = awake_bits_.words().data();
-    for (std::size_t w = 0; w < nw; ++w) tx[w] &= aw[w];
-    tx_bits_.clear_excess_bits();
-    std::size_t tx_count = 0;
-    for (std::size_t w = 0; w < nw; ++w) {
-      tx_count += static_cast<std::size_t>(std::popcount(tx[w]));
-    }
-    if (exact) {
-      // Materialise every transmission, ascending by id — the order the
-      // scalar engine's sorted awake scan emits.
-      std::uint64_t bits_tx_acc = 0;
-      std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
-      for (std::size_t w = 0; w < nw; ++w) {
-        std::uint64_t word = tx[w];
-        while (word != 0) {
-          const auto from =
-              static_cast<NodeId>((w << 6) + std::countr_zero(word));
-          word &= word - 1;
-          const std::uint32_t idx = materialize_packed_tx(from);
-          bits_tx_acc += tx_meta_[idx].size_bits;
-          ++tx_kind_acc[tx_meta_[idx].kind];
-        }
-      }
-      TraceCounters& c = trace_.counters();
-      c.transmissions += transmissions_.size();
-      c.bits_transmitted += bits_tx_acc;
-      for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-        c.transmissions_by_kind[k] += tx_kind_acc[k];
-      }
-    } else if (tx_count > 0) {
-      // One representative body yields the round's uniform kind/size (the
-      // PackedTransmitSource contract); nobody-heard transmitters are
-      // never materialised.
-      std::size_t w = 0;
-      while (tx[w] == 0) ++w;
-      const auto from = static_cast<NodeId>((w << 6) + std::countr_zero(tx[w]));
-      const std::uint32_t idx = materialize_packed_tx(from);
-      TraceCounters& c = trace_.counters();
-      c.transmissions += tx_count;
-      c.bits_transmitted +=
-          static_cast<std::uint64_t>(tx_meta_[idx].size_bits) * tx_count;
-      c.transmissions_by_kind[tx_meta_[idx].kind] += tx_count;
-    }
-  } else {
-    // The packed branch overwrites every tx word; this branch only ORs
-    // bits in, so last round's set must be cleared first.
-    std::fill_n(tx, nw, 0);
-    std::uint64_t bits_tx_acc = 0;
-    std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
-    NodeProtocol* const* const tx_protocols = protocols_.data();
-    const Round round_now = round_;
-    const NodeId* const awake_ids = awake_list_.data();
-    const std::size_t awake_n = awake_list_.size();
-    for (std::size_t i = 0; i < awake_n; ++i) {
-      const NodeId id = awake_ids[i];
-      std::optional<MessageBody> body = tx_protocols[id]->on_transmit(round_now);
-      if (body.has_value()) {
-        tx[id >> 6] |= 1ULL << (id & 63);
-        const auto bits = static_cast<std::uint32_t>(message_size_bits(*body));
-        const auto kind = static_cast<std::uint32_t>(message_kind_index(*body));
-        bits_tx_acc += bits;
-        ++tx_kind_acc[kind];
-        tx_index_of_[id] = static_cast<std::uint32_t>(transmissions_.size());
-        Message& slot = transmissions_.emplace_back();
-        slot.from = id;
-        slot.body = std::move(*body);
-        tx_meta_.push_back({bits, kind});
-        tx_from_.push_back(id);
-      }
-    }
-    TraceCounters& c = trace_.counters();
-    c.transmissions += transmissions_.size();
-    c.bits_transmitted += bits_tx_acc;
-    for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-      c.transmissions_by_kind[k] += tx_kind_acc[k];
-    }
-  }
-  if (auditor_ != nullptr) auditor_->on_transmissions(round_, transmissions_);
-
-  // Row access for the scatter/resolve sweeps: the word-grouped index when
-  // the topology compressed, else on-the-fly grouping of the sorted CSR
-  // row (same group stream either way).
-  const bool grouped = packed_rows_.built();
-  const std::size_t* const offsets = graph_.csr_offsets();
-  const NodeId* const targets = graph_.csr_targets();
-  const auto for_row = [&](NodeId u, auto&& fn) {
-    if (grouped) {
-      for (const graph::WordGroup& g : packed_rows_.row(u)) fn(g.word, g.mask);
-    } else {
-      graph::for_each_word_group(
-          {targets + offsets[u], offsets[u + 1] - offsets[u]}, fn);
-    }
-  };
-
-  // Phase 2: carry-save scatter. Each transmitter ORs its neighborhood
-  // masks into the (once, twice) pair word-wise; afterwards once & ~twice
-  // is the exactly-one set. The exact sub-path additionally extracts each
-  // group's first-touch bits (mask & ~old_once, ascending within the word
-  // = ascending CSR order) to reproduce the scalar engine's touched_
-  // sequence and first-reacher attribution.
-  std::size_t touched_count = 0;
-  NodeId* const touched = touched_.data();
-  std::uint32_t* const first_src = first_src_.data();
-  if (exact) {
-    const std::size_t tc = tx_from_.size();
-    for (std::uint32_t t = 0; t < tc; ++t) {
-      for_row(tx_from_[t], [&](std::uint32_t w, std::uint64_t m) {
-        const std::uint64_t old = once[w];
-        twice[w] |= old & m;
-        once[w] = old | m;
-        std::uint64_t news = m & ~old;
-        while (news != 0) {
-          const auto b = static_cast<std::uint32_t>(std::countr_zero(news));
-          news &= news - 1;
-          touched[touched_count] = (w << 6) + b;
-          first_src[touched_count] = t;
-          ++touched_count;
-        }
-      });
-    }
-  } else {
-    for (std::size_t w0 = 0; w0 < nw; ++w0) {
-      std::uint64_t word = tx[w0];
-      while (word != 0) {
-        const auto u = static_cast<NodeId>((w0 << 6) + std::countr_zero(word));
-        word &= word - 1;
-        for_row(u, [&](std::uint32_t w, std::uint64_t m) {
-          twice[w] |= once[w] & m;
-          once[w] |= m;
-        });
-      }
-    }
-  }
-
-  // Phase 3.
-  NodeProtocol* const* const protocols = protocols_.data();
-  std::uint64_t deliveries_acc = 0;
-  std::uint64_t bits_rx_acc = 0;
-  std::uint64_t collision_acc = 0;
-  std::uint64_t deaf_acc = 0;
-  std::uint64_t fault_acc = 0;
-  std::array<std::uint64_t, kNumMessageKinds> rx_kind_acc{};
-  if (exact) {
-    // Same control flow as the scalar Phase 3, receiver-touch order and
-    // all; only the per-node lookups differ (bit tests instead of the
-    // transmitting_/reach_ arrays).
-    for (std::size_t i = 0; i < touched_count; ++i) {
-      const NodeId v = touched[i];
-      const std::uint32_t source = first_src[i];
-      // The audit hooks report the exact reach count; without an auditor
-      // only the 1-vs-many distinction matters and the twice bit has it.
-      std::uint32_t reached = 1 + ((twice[v >> 6] >> (v & 63)) & 1u);
-      if (auditor_ != nullptr) {
-        std::uint32_t full = 0;
-        for_row(v, [&](std::uint32_t w, std::uint64_t m) {
-          full += static_cast<std::uint32_t>(std::popcount(tx[w] & m));
-        });
-        reached = full;
-      }
-
-      const auto deliver = [&](std::uint32_t src) __attribute__((always_inline)) {
-        const Message& txm = transmissions_[src];
-        const TxMeta meta = tx_meta_[src];
-        ++deliveries_acc;
-        bits_rx_acc += meta.size_bits;
-        ++rx_kind_acc[meta.kind];
-        if (events) {
-          trace_.record({round_, v, TraceEvent::Kind::kDelivered,
-                         message_kind(txm.body), txm.from});
-        }
-        if (auditor_ != nullptr) auditor_->on_deliver(round_, v, src, txm);
-        if (!mutations_.skip_wake_on_receive && !awake_[v]) wake(v);
-        protocols[v]->on_receive(round_, txm);
-      };
-
-      if ((tx[v >> 6] >> (v & 63)) & 1u) {
-        ++deaf_acc;
-        if (events) trace_.record({round_, v, TraceEvent::Kind::kDeaf, {}, 0});
-        if (auditor_ != nullptr) auditor_->on_deaf_slot(round_, v, reached);
-        if (mutations_.deliver_while_transmitting) deliver(source);
-        continue;
-      }
-      if (reached >= 2) {
-        ++collision_acc;
-        if (events) trace_.record({round_, v, TraceEvent::Kind::kCollision, {}, 0});
-        if (auditor_ != nullptr) {
-          auditor_->on_collision_slot(round_, v, reached, collision_detection_);
-        }
-        if (collision_detection_) {
-          wake(v);
-          protocols[v]->on_collision(round_);
-        }
-        if (mutations_.deliver_on_collision) deliver(source);
-        continue;
-      }
-      if (faults_on && fault_rng_.next_bool(fault_model_.reception_loss_probability)) {
-        ++fault_acc;
-        if (auditor_ != nullptr) auditor_->on_fault_drop(round_, v, source);
-        continue;
-      }
-      deliver(source);
-    }
-  } else {
-    // Fast sub-path: classify all 64 receivers of a word at once.
-    //   deaf      = once &  tx          (heard something while sending)
-    //   collision = twice & ~tx         (>= 2 reached, silent)
-    //   success   = once & ~twice & ~tx (exactly 1 reached, silent)
-    // Deaf and collision slots are pure popcounts; only successes (and,
-    // under the CD ablation, collisions) walk their bits.
-    for (std::size_t w0 = 0; w0 < nw; ++w0) {
-      const std::uint64_t o = once[w0];
-      if (o == 0) continue;
-      const std::uint64_t tw = twice[w0];
-      const std::uint64_t txw = tx[w0];
-      deaf_acc += static_cast<std::uint64_t>(std::popcount(o & txw));
-      const std::uint64_t coll = tw & ~txw;
-      collision_acc += static_cast<std::uint64_t>(std::popcount(coll));
-      if (collision_detection_ && coll != 0) {
-        std::uint64_t cbits = coll;
-        while (cbits != 0) {
-          const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(cbits));
-          cbits &= cbits - 1;
-          wake(v);
-          protocols[v]->on_collision(round_);
-        }
-      }
-      std::uint64_t succ = o & ~tw & ~txw;
-      while (succ != 0) {
-        const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(succ));
-        succ &= succ - 1;
-        // Exactly one transmitter reached v, so the first nonzero
-        // row-word intersection pins it (first-hit trick).
-        NodeId from = 0;
-        if (grouped) {
-          for (const graph::WordGroup& g : packed_rows_.row(v)) {
-            const std::uint64_t hits = tx[g.word] & g.mask;
-            if (hits != 0) {
-              from = static_cast<NodeId>((static_cast<std::size_t>(g.word) << 6) +
-                                         std::countr_zero(hits));
-              break;
-            }
-          }
-        } else {
-          const NodeId* const row = targets + offsets[v];
-          const std::size_t len = offsets[v + 1] - offsets[v];
-          std::size_t i = 0;
-          while (i < len) {
-            const std::uint32_t wd = row[i] >> 6;
-            std::uint64_t mask = 0;
-            do {
-              mask |= 1ULL << (row[i] & 63);
-              ++i;
-            } while (i < len && (row[i] >> 6) == wd);
-            const std::uint64_t hits = tx[wd] & mask;
-            if (hits != 0) {
-              from = static_cast<NodeId>((static_cast<std::size_t>(wd) << 6) +
-                                         std::countr_zero(hits));
-              break;
-            }
-          }
-        }
-        std::uint32_t idx = tx_index_of_[from];
-        if (idx == kInvalidTx) idx = materialize_packed_tx(from);
-        const Message& txm = transmissions_[idx];
-        const TxMeta meta = tx_meta_[idx];
-        ++deliveries_acc;
-        bits_rx_acc += meta.size_bits;
-        ++rx_kind_acc[meta.kind];
-        if (!awake_[v]) wake(v);
-        protocols[v]->on_receive(round_, txm);
-      }
-    }
-  }
-  {
-    TraceCounters& c = trace_.counters();
-    c.deliveries += deliveries_acc;
-    c.bits_delivered += bits_rx_acc;
-    c.collision_slots += collision_acc;
-    c.deaf_slots += deaf_acc;
-    c.fault_drops += fault_acc;
-    for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-      c.deliveries_by_kind[k] += rx_kind_acc[k];
-    }
-  }
-  for (const Message& m : transmissions_) tx_index_of_[m.from] = kInvalidTx;
 }
 
 bool Network::advance_done_count() {

@@ -9,20 +9,17 @@
 // Protocols for sleeping nodes exist from the start but get no callbacks
 // until woken (round 0 for initially-awake nodes, or on first reception).
 // Awake nodes are asked for a transmission decision every round, except
-// that the scalar engine skips a node's on_transmit in the rounds before
-// the idle-skipping hint it published (NodeProtocol::set_next_active_round).
+// that the engine skips a node's on_transmit in the rounds before the
+// idle-skipping hint it published (NodeProtocol::set_next_active_round).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "gf2/bitvec.hpp"
 #include "graph/graph.hpp"
-#include "graph/packed.hpp"
 #include "obs/observer.hpp"
 #include "radio/audit_hook.hpp"
 #include "radio/node.hpp"
@@ -30,57 +27,6 @@
 #include "radio/trace.hpp"
 
 namespace radiocast::radio {
-
-/// Which round-kernel implementation executes step().
-///
-/// kScalar is the node-at-a-time engine (the reference semantics; every
-/// historical digest was produced by it). kBitset keeps the transmit and
-/// awake sets as packed uint64_t bit vectors and computes reception with
-/// word-wise AND/popcount sweeps over CSR rows — same model, same results,
-/// ~word-parallel speed on large graphs. See docs/performance.md.
-enum class EngineMode : std::uint8_t { kScalar, kBitset };
-
-/// "scalar" / "bitset" (stable names: scenario schema + manifests).
-const char* engine_mode_name(EngineMode mode);
-
-/// Inverse of engine_mode_name; nullopt for unknown names.
-std::optional<EngineMode> parse_engine_mode(std::string_view name);
-
-/// Optional bulk transmit-decision provider for the bitset engine.
-///
-/// The scalar engine asks every awake node's protocol for a decision via
-/// the virtual NodeProtocol::on_transmit (skipping only nodes idle under
-/// their published hint); at n = 10^6 those virtual calls dominate the
-/// round. A protocol family whose per-round decision is a
-/// simple predicate (the paper's one-bit Decay/alarm regimes) can instead
-/// register a PackedTransmitSource: the engine requests the whole round's
-/// decisions as one bit vector and only materialises a Message for
-/// transmitters somebody actually hears.
-///
-/// Contract: fill_transmit_words writes one bit per node id (bit i of
-/// words[i / 64]) — set iff node i would transmit this round if awake. The
-/// engine ANDs the result with the awake set and ignores bits at or beyond
-/// num_nodes, so the source does not need to know who is awake. Within one
-/// round every packed_body() must have the same message kind and wire size
-/// (the engine computes round totals from one representative body). The
-/// source must agree with the protocols' own on_transmit so scalar runs of
-/// the same system remain comparable; the differential oracle tests pin
-/// this for the in-tree sources. Honored only when the engine mode is
-/// kBitset; the scalar engine always uses on_transmit.
-class PackedTransmitSource {
- public:
-  virtual ~PackedTransmitSource() = default;
-
-  /// Writes the round's would-transmit set (one bit per node).
-  /// `num_words` = ceil(num_nodes / 64); words beyond the node count are
-  /// masked off by the engine.
-  virtual void fill_transmit_words(Round round, std::uint64_t* words,
-                                   std::size_t num_words) = 0;
-
-  /// The message node `from` transmits this round (same kind and wire
-  /// size for every `from` within one round).
-  virtual MessageBody packed_body(Round round, NodeId from) = 0;
-};
 
 /// Optional fault injection, beyond the paper's model: models external
 /// interference (jamming, thermal noise) as independent per-reception
@@ -205,35 +151,10 @@ class Network {
   /// called before the first step.
   void set_test_mutations(const EngineMutations& mutations);
 
-  /// Selects the round kernel (default kScalar). Must be called before
-  /// the first step; the two engines produce identical simulations (the
-  /// bitset engine is pinned to the scalar one by the differential oracle
-  /// tests and the audited corpus).
-  void set_engine(EngineMode mode);
-  EngineMode engine() const { return engine_; }
-
-  /// Registers a bulk transmit-decision source (nullptr detaches). Only
-  /// honored by the bitset engine — see PackedTransmitSource. Must be set
-  /// before the first step; must outlive the network (or be detached).
-  void set_packed_source(PackedTransmitSource* source);
-  PackedTransmitSource* packed_source() const { return packed_source_; }
-
  private:
   void wake(NodeId id);
-  /// One round of the node-at-a-time reference kernel.
+  /// One round: transmit decisions, reach counting, deliveries.
   void round_scalar();
-  /// One round of the bit-parallel kernel (see docs/performance.md). The
-  /// exact sub-path replays the scalar engine's observable order
-  /// (fault-RNG draws, auditor callbacks, trace events) bit for bit; the
-  /// fast sub-path, taken when nothing order-sensitive is attached, only
-  /// promises identical end-of-round state and counters.
-  void round_bitset();
-  /// Allocates the packed per-round sets on the first bitset step.
-  void ensure_bitset_buffers();
-  /// Materialises (lazily, once per round per transmitter) the Message a
-  /// packed-source transmitter put on the air; returns its index in
-  /// transmissions_.
-  std::uint32_t materialize_packed_tx(NodeId from);
   /// Fills round_stats_ with this round's deltas and feeds the observer.
   void report_round(std::uint64_t round);
   /// Advances the completion counter past newly-done protocols; returns
@@ -258,11 +179,10 @@ class Network {
   std::vector<NodeId> awake_list_;
   bool awake_list_dirty_ = false;
   /// Per-node idle-skipping hint (see NodeProtocol::set_next_active_round):
-  /// the scalar Phase 1 calls on_transmit only once round_ reaches it. It
+  /// Phase 1 calls on_transmit only once round_ reaches it. It
   /// is refreshed from the protocol after every on_transmit and zeroed on
   /// every delivery, collision callback, wake and set_protocol, so a node
-  /// that hears anything is asked again the next round. The bitset engine
-  /// never reads it.
+  /// that hears anything is asked again the next round.
   std::vector<Round> next_active_;
   /// Nodes flagged awake before the first step; on_wake fires lazily.
   std::vector<NodeId> pending_initial_wakes_;
@@ -333,31 +253,6 @@ class Network {
   std::vector<NodeId> touched_;
   std::unique_ptr<PayloadArena> payload_arena_;
 
-  // --- bitset engine state (allocated on the first bitset step) --------
-  EngineMode engine_ = EngineMode::kScalar;
-  PackedTransmitSource* packed_source_ = nullptr;
-  bool bitset_ready_ = false;
-  /// This round's transmit set, one bit per node.
-  gf2::BitVec tx_bits_;
-  /// Reached-by-at-least-one / at-least-two carry-save pair: a
-  /// transmitter's neighborhood mask m updates a word as
-  /// twice |= once & m; once |= m. After the scatter,
-  /// once & ~twice & ~tx is exactly the successful-reception set.
-  gf2::BitVec once_bits_;
-  gf2::BitVec twice_bits_;
-  /// Awake set as bits (mirrors awake_; maintained by wake() once the
-  /// bitset buffers exist) — the packed-source AND mask.
-  gf2::BitVec awake_bits_;
-  /// node id -> index into transmissions_ this round (kInvalidTx when not
-  /// materialised); reset via the transmissions_ list at round end.
-  static constexpr std::uint32_t kInvalidTx = 0xffffffffu;
-  std::vector<std::uint32_t> tx_index_of_;
-  /// Exact sub-path only: first-reaching transmission index, parallel to
-  /// touched_ (scalar keeps the same datum inside ReachSlot::source).
-  std::vector<std::uint32_t> first_src_;
-  /// Optional word-grouped adjacency (built iff the topology compresses;
-  /// rows group on the fly from CSR otherwise — see graph/packed.hpp).
-  graph::PackedRows packed_rows_;
 };
 
 }  // namespace radiocast::radio

@@ -45,7 +45,7 @@ class NodeProtocol {
   /// Transmission decision for the current round. Called at most once per
   /// round for every awake node: every round unless the node published an
   /// idle-skipping hint (see set_next_active_round), in which case the
-  /// scalar engine skips the call in the rounds before the hint. Rounds
+  /// engine skips the call in the rounds before the hint. Rounds
   /// therefore advance by one or more between two calls. Returning a
   /// message transmits it to all neighbors (subject to collisions at each
   /// receiver).
@@ -74,8 +74,9 @@ class NodeProtocol {
   /// return nullopt, draw no randomness, fire no observer or audit
   /// callback, and leave done() unchanged — so skipping those calls is
   /// unobservable. Calling earlier
-  /// than the hint is always valid, and the hint is advisory: the bitset
-  /// engine ignores it and calls every awake node every round.
+  /// than the hint is always valid, and the hint is advisory: ignoring it
+  /// and calling every awake node every round gives the same run (see
+  /// tests/core/hint_oracle_test.cpp).
   ///
   /// The hint covers only the on_transmit call that set it. The engine
   /// consumes it after the call (take_next_active_round), drops it on any

@@ -2,9 +2,9 @@
 // KBroadcastNode, DynamicBroadcastNode and stream::StreamNode publish,
 // against the same protocols with their hints hidden.
 //
-// Every test builds two identically seeded networks. In one the scalar
-// engine skips the rounds the nodes' hints declare idle; in the other each
-// node sits behind a forwarding decorator that swallows the hint, so every
+// Every test builds two identically seeded networks. In one the engine
+// skips the rounds the nodes' hints declare idle; in the other each node
+// sits behind a forwarding decorator that swallows the hint, so every
 // awake node is called every round (the behaviour before hints existed).
 // After every round the two runs must agree on the trace counters and on a
 // running fingerprint of everything observable: each transmission (sender

@@ -118,6 +118,39 @@ TEST(Cli, HeldPacketPreflightFailsBeforeRunning) {
   EXPECT_FALSE(std::filesystem::exists(dir + "/huge.results.json"));
 }
 
+TEST(Cli, OversizedTopologyPreflightFailsBeforeRunning) {
+  const std::string dir = temp_dir("cli_edges");
+  const std::string path = dir + "/dense.json";
+  write_file(path, R"({"id":"dense","topology":{"family":"gnp","n":100000,"p":0.5},)"
+                   R"("algos":["coded"],"k":[4]})");
+  for (const CliRun& r :
+       {run_cli({"validate", path}), run_cli({"run", path, "--out", dir, "--quiet"})}) {
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("topology expects about 2499975000 edges"), std::string::npos)
+        << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/dense.results.json"));
+}
+
+TEST(Cli, RetiredBitsetEngineIsRefused) {
+  const std::string dir = temp_dir("cli_engine");
+  const std::string path = dir + "/bitset.json";
+  write_file(path, R"({"id":"bitset","engine":"bitset","k":[4],"seeds":1})");
+  for (const CliRun& r :
+       {run_cli({"validate", path}), run_cli({"run", path, "--out", dir, "--quiet"})}) {
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find(R"(only "scalar" exists)"), std::string::npos) << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/bitset.results.json"));
+  // The --engine flag is gone too, whatever its value.
+  write_file(dir + "/spec.json", kTinySpec);
+  const CliRun r =
+      run_cli({"run", dir + "/spec.json", "--out", dir, "--engine", "scalar"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("unknown option --engine"), std::string::npos) << r.err;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/cli_tiny.results.json"));
+}
+
 TEST(Cli, RunEmitsResultsManifestAndReport) {
   const std::string dir = temp_dir("cli_run");
   write_file(dir + "/spec.json", kTinySpec);

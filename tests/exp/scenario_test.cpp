@@ -196,33 +196,64 @@ TEST(Scenario, ThreadsIsExcludedFromCanonicalForm) {
 }
 
 TEST(Scenario, EngineKnobParsesValidatesAndSerializes) {
-  // Default is scalar (every historical spec digest was produced by it).
-  EXPECT_EQ(parse_scenario(R"({"id": "x"})").engine, "scalar");
-  EXPECT_EQ(parse_scenario(R"({"id":"x","engine":"bitset"})").engine, "bitset");
-  EXPECT_THROW(parse_scenario(R"({"id":"x","engine":"vector"})"), JsonError);
-
-  // engine IS part of the spec identity, unlike threads: flipping it must
-  // change the canonical form (and therefore the digest).
-  const ScenarioSpec scalar = parse_scenario(R"({"id": "x"})");
-  const ScenarioSpec bitset = parse_scenario(R"({"id":"x","engine":"bitset"})");
-  EXPECT_NE(serialize_scenario(scalar), serialize_scenario(bitset));
-  EXPECT_EQ(parse_scenario(serialize_scenario(bitset)).engine, "bitset");
+  // "engine" survives only as the constant "scalar": the canonical form
+  // always carries it, so spec digests made when the spec could name a
+  // second kernel stay valid.
+  const std::string plain = serialize_scenario(parse_scenario(R"({"id": "x"})"));
+  EXPECT_NE(plain.find(R"("engine": "scalar")"), std::string::npos) << plain;
+  EXPECT_EQ(serialize_scenario(parse_scenario(R"({"id":"x","engine":"scalar"})")), plain);
+  EXPECT_EQ(serialize_scenario(parse_scenario(plain)), plain);
+  // Any other value, including the retired bit-parallel kernel, is refused.
+  for (const char* spec : {R"({"id":"x","engine":"bitset"})",
+                           R"({"id":"x","engine":"vector"})",
+                           R"({"id":"x","mode":"stream","engine":"bitset"})"}) {
+    try {
+      parse_scenario(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find(R"(only "scalar" exists)"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
-TEST(Scenario, BitsetEngineRequiresPipelineAlgosAndStaticMode) {
-  // seq_bgi/gossip run through run_algo (scalar-only), and the dynamic
-  // runner drives its own loop; both must reject the bitset knob rather
-  // than silently running scalar under a bitset-labelled digest.
-  EXPECT_THROW(parse_scenario(R"({"id":"x","algos":["seq_bgi"],"engine":"bitset"})"),
-               JsonError);
-  EXPECT_THROW(parse_scenario(R"({"id":"x","algos":["gossip"],"engine":"bitset"})"),
-               JsonError);
-  EXPECT_THROW(
-      parse_scenario(
-          R"({"id":"x","mode":"dynamic","dynamic":{"load":[0.5]},"engine":"bitset"})"),
-      JsonError);
-  EXPECT_NO_THROW(
-      parse_scenario(R"({"id":"x","algos":["coded","uncoded"],"engine":"bitset"})"));
+TEST(Scenario, RejectsTopologiesWithTooManyExpectedEdges) {
+  const auto error = [](const std::string& topology, const std::string& rest = "") {
+    try {
+      parse_scenario(R"({"id":"x","topology":)" + topology + rest + "}");
+    } catch (const JsonError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto over = [&](const std::string& topology, const std::string& rest = "") {
+    return error(topology, rest).find("topology expects about") != std::string::npos;
+  };
+  // G(100000, 0.5) expects 0.5 * 100000 * 99999 / 2 edges.
+  const std::string gnp = error(R"({"family":"gnp","n":100000,"p":0.5})");
+  EXPECT_NE(gnp.find("topology expects about 2499975000 edges"), std::string::npos) << gnp;
+  EXPECT_NE(gnp.find(std::to_string(kMaxExpectedEdges) + "-edge pre-flight limit"),
+            std::string::npos)
+      << gnp;
+  // p * n(n-1)/2 at p = 1: n = 46341 has 1073720970 <= 2^30 pairs, n = 46342
+  // has 1073767311 > 2^30.
+  EXPECT_EQ(error(R"({"family":"gnp","n":46341,"p":1.0})"), "");
+  EXPECT_TRUE(over(R"({"family":"gnp","n":46342,"p":1.0})"));
+  // Geometric with an explicit radius: n(n-1)/2 * min(1, pi r^2), in every mode.
+  EXPECT_TRUE(over(R"({"family":"geometric","n":100000,"radius":0.5})"));
+  EXPECT_TRUE(over(R"({"family":"geometric","n":50000,"radius":2.0})", R"(,"mode":"stream")"));
+  EXPECT_EQ(error(R"({"family":"geometric","n":46341,"radius":2.0})"), "");
+  // The default-shape families derive sparse graphs from n alone.
+  EXPECT_EQ(error(R"({"family":"gnp","n":100000})"), "");
+  EXPECT_EQ(error(R"({"family":"geometric","n":100000})"), "");
+  // The radiobench workload shapes (pipeline, coding, stream) stay valid.
+  EXPECT_EQ(error(R"({"family":"geometric","n":2000,"radius":0.06})", R"(,"k":[64])"), "");
+  EXPECT_EQ(error(R"({"family":"geometric","n":128,"radius":0.21})",
+                  R"(,"k":[1024],"payload_bytes":1024)"),
+            "");
+  EXPECT_EQ(error(R"({"family":"geometric","n":256,"radius":0.14})",
+                  R"(,"mode":"stream","stream":{"rate":[0.5]})"),
+            "");
 }
 
 TEST(Scenario, SeedGridIsPureFunctionOfSeedBase) {

@@ -5,7 +5,9 @@
 // an all-n done() sweep. Both are pure optimizations: this test pins that
 // by re-implementing the model rules the slow, obvious way (full scans
 // everywhere) and checking that an identically seeded run produces the
-// same wake set, callbacks and counters on a random geometric graph.
+// same wake set, callbacks and counters on a random geometric graph —
+// in the paper's model and under the collision-detection ablation (wake
+// on collision plus the on_collision callback).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,11 +38,13 @@ class FloodNode final : public NodeProtocol {
     ++receives;
     last_from = msg.from;
   }
+  void on_collision(Round /*round*/) override { ++collisions_seen; }
   void on_wake(Round round) override { woke_at = round; }
   bool done() const override { return receives >= 1; }
 
   std::uint64_t transmit_calls = 0;
   std::uint64_t receives = 0;
+  std::uint64_t collisions_seen = 0;
   NodeId last_from = 0;
   std::optional<Round> woke_at;
 
@@ -52,6 +56,7 @@ class FloodNode final : public NodeProtocol {
 /// Mirrors the model contract in network.hpp to the letter.
 struct ReferenceSim {
   const graph::Graph& g;
+  bool collision_detection = false;
   std::vector<FloodNode> nodes;
   std::vector<bool> awake;
   Round round = 0;
@@ -96,6 +101,10 @@ struct ReferenceSim {
       }
       if (heard_count[v] >= 2) {
         ++collisions;
+        if (collision_detection) {
+          wake(v);
+          nodes[v].on_collision(round);
+        }
         continue;
       }
       ++deliveries;
@@ -113,16 +122,18 @@ struct ReferenceSim {
   }
 };
 
-TEST(EngineEquivalenceTest, AwakeListMatchesFullScanReference) {
-  Rng grng(77);
-  const graph::Graph g = graph::make_random_geometric(48, 0.3, grng);
-
-  // Two identically seeded protocol populations.
-  Rng master_a(1234);
-  Rng master_b(1234);
+/// Runs the engine and the reference lock-step from node 0 for `rounds`
+/// rounds on two identically seeded protocol populations and compares
+/// every counter and per-node observation; returns the engine's counters.
+TraceCounters expect_matches_reference(const graph::Graph& g, std::uint64_t seed,
+                                       int rounds, bool collision_detection) {
+  Rng master_a(seed);
+  Rng master_b(seed);
   ReferenceSim ref(g, master_a);
+  ref.collision_detection = collision_detection;
 
   Network net(g);
+  net.enable_collision_detection(collision_detection);
   std::vector<FloodNode*> net_nodes;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     auto node = std::make_unique<FloodNode>(master_b.split());
@@ -132,7 +143,7 @@ TEST(EngineEquivalenceTest, AwakeListMatchesFullScanReference) {
   net.wake_at_start(0);
   ref.wake(0);
 
-  for (int r = 0; r < 400; ++r) {
+  for (int r = 0; r < rounds; ++r) {
     net.step();
     ref.step();
   }
@@ -143,7 +154,6 @@ TEST(EngineEquivalenceTest, AwakeListMatchesFullScanReference) {
   EXPECT_EQ(c.collision_slots, ref.collisions);
   EXPECT_EQ(c.deaf_slots, ref.deaf);
   EXPECT_EQ(c.wakeups, ref.wakeups);
-  EXPECT_GT(c.deliveries, 0u);  // the flood must actually spread
 
   std::size_t awake_in_ref = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -153,9 +163,27 @@ TEST(EngineEquivalenceTest, AwakeListMatchesFullScanReference) {
     EXPECT_EQ(net_nodes[v]->transmit_calls, ref.nodes[v].transmit_calls);
     EXPECT_EQ(net_nodes[v]->receives, ref.nodes[v].receives);
     EXPECT_EQ(net_nodes[v]->last_from, ref.nodes[v].last_from);
+    EXPECT_EQ(net_nodes[v]->collisions_seen, ref.nodes[v].collisions_seen);
     EXPECT_EQ(net_nodes[v]->woke_at, ref.nodes[v].woke_at);
   }
   EXPECT_EQ(net.num_awake(), awake_in_ref);
+  return c;
+}
+
+TEST(EngineEquivalenceTest, AwakeListMatchesFullScanReference) {
+  Rng grng(77);
+  const graph::Graph g = graph::make_random_geometric(48, 0.3, grng);
+  const TraceCounters c = expect_matches_reference(g, 1234, 400, false);
+  EXPECT_GT(c.deliveries, 0u);  // the flood must actually spread
+}
+
+TEST(EngineEquivalenceTest, CollisionDetectionMatchesFullScanReference) {
+  Rng grng(55);
+  const graph::Graph g = graph::make_gnp_connected(64, 0.25, grng);
+  const TraceCounters c = expect_matches_reference(g, 314, 250, true);
+  // Under CD every collision slot fires on_collision (waking the node if
+  // asleep), so a nonzero count means the ablation path actually ran.
+  EXPECT_GT(c.collision_slots, 0u);
 }
 
 TEST(EngineEquivalenceTest, RunUntilDoneMatchesReferencePredicate) {

@@ -1,9 +1,8 @@
-// The idle-skipping hint contract of the scalar engine
+// The idle-skipping hint contract of the engine
 // (NodeProtocol::set_next_active_round): a node is never asked for a
 // transmission decision before the round it published, and any event that
 // can change its mind — a delivery, a collision callback, a wake, a fresh
-// protocol — makes the engine ask again the very next round. The bitset
-// engine ignores hints.
+// protocol — makes the engine ask again the very next round.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -141,20 +140,6 @@ TEST(NextActiveHint, SetProtocolDropsAStaleHint) {
   step(net, 10);
   EXPECT_TRUE(replaced->calls.empty());
   EXPECT_EQ(swapped_in->calls, (std::vector<Round>{0, 7}));
-}
-
-TEST(NextActiveHint, BitsetEngineIgnoresHints) {
-  const graph::Graph g = graph::make_path(2);
-  Network net(g);
-  net.set_engine(EngineMode::kBitset);
-  auto* a = new HintedNode(5);
-  auto* b = new HintedNode(5);
-  install(net, {a, b});
-  net.wake_at_start(0);
-  net.wake_at_start(1);
-  step(net, 6);
-  EXPECT_EQ(a->calls, (std::vector<Round>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(b->calls, a->calls);
 }
 
 }  // namespace
