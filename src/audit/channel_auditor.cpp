@@ -1,20 +1,19 @@
 #include "audit/channel_auditor.hpp"
 
-#include <sstream>
-
 #include "common/assert.hpp"
 
 namespace radiocast::audit {
 
 ChannelAuditor::ChannelAuditor(const graph::Graph& g, const Options& opts)
-    : graph_(g), opts_(opts), report_(opts.max_violations) {
-  RC_ASSERT_MSG(g.finalized(), "auditor needs a finalized graph");
-  reset();
+    : report_(opts.max_violations) {
+  rearm(g, opts);
 }
 
-void ChannelAuditor::reset() {
-  report_.clear();
-  const std::size_t n = graph_.num_nodes();
+void ChannelAuditor::rearm(const graph::Graph& g, const Options& opts) {
+  RC_ASSERT_MSG(g.finalized(), "auditor needs a finalized graph");
+  graph_ = &g;
+  opts_ = opts;
+  const std::size_t n = g.num_nodes();
   current_round_ = 0;
   round_open_ = false;
   awake_.assign(n, 0);
@@ -24,16 +23,6 @@ void ChannelAuditor::reset() {
   outcome_.assign(n, Outcome::kNone);
   touched_.clear();
   tx_from_.clear();
-}
-
-std::string ChannelAuditor::summary() const {
-  if (report_.clean()) return "clean";
-  std::ostringstream out;
-  out << report_.total() << " violation(s); first: ";
-  const Violation& v = report_.violations().front();
-  out << v.check << " @round " << v.round << " node " << v.node << " (" << v.detail
-      << ")";
-  return out.str();
 }
 
 void ChannelAuditor::on_sim_start(
@@ -57,6 +46,7 @@ void ChannelAuditor::on_sim_start(
 
 void ChannelAuditor::on_transmissions(radio::Round round,
                                       const std::vector<radio::Message>& txs) {
+  RC_ASSERT_MSG(graph_ != nullptr, "auditor was never armed");
   if (round_open_) {
     violation(round, 0, "radio.round_sequence", "round opened twice");
   }
@@ -88,7 +78,7 @@ void ChannelAuditor::on_transmissions(radio::Round round,
   // Independent reach recount from the topology.
   for (std::uint32_t t = 0; t < txs.size(); ++t) {
     if (txs[t].from >= awake_.size()) continue;
-    for (const radio::NodeId v : graph_.neighbors(txs[t].from)) {
+    for (const radio::NodeId v : graph_->neighbors(txs[t].from)) {
       if (reach_[v]++ == 0) {
         source_[v] = t;
         touched_.push_back(v);

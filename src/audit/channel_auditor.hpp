@@ -1,25 +1,29 @@
-// ChannelAuditor — protocol-agnostic radio-model conformance checking.
+// ChannelAuditor — the one radio-model conformance checker.
 //
-// The radio-model half of ModelAuditor, factored for runs that are not
-// k-broadcast instances: it implements radio::NetworkAuditHook only (no
-// core::RunAuditor lifecycle, no protocol-discipline or ground-truth
-// checks), so any caller that owns a radio::Network — the open-system
-// stream driver in particular — can attach it via Network::set_auditor and
-// get an independent re-derivation of Section 1's reception rules:
+// A sink on the engine tap (radio::Network::add_tap) that re-derives
+// Section 1's reception rules independently, from nothing but the raw
+// transmission set and the adjacency lists:
 //
 //   * a node receives iff exactly one neighbor transmitted and the node
 //     itself was silent; the engine's reach counts agree with a recount
 //     straight from the adjacency lists;
 //   * only awake nodes transmit; transmitters are deaf (half-duplex);
-//   * on_collision callbacks fire exactly iff the CD ablation is on;
+//     sleeping nodes wake on first reception;
+//   * on_collision callbacks fire exactly iff the CD ablation is on — the
+//     with/without collision detection split of the radio model;
 //   * fault erasures only occur under a fault model, only on slots that
 //     would otherwise deliver;
 //   * every reached node gets exactly one outcome per round, reconciled
 //     at on_round_end against the recomputed expectation.
 //
+// It knows nothing of the protocol running on top, so any caller that owns
+// a radio::Network can attach it: the open-system stream driver does so
+// directly, and audit::ModelAuditor owns one and adds the k-broadcast
+// protocol checks on top, writing to the same AuditReport.
+//
 // Strictly read-only, no RNG draws: an audited run is bit-identical to an
-// unaudited one. One instance audits one simulation; construct fresh (or
-// reset()) per run.
+// unaudited one. One instance audits one simulation at a time; rearm()
+// points it at the next one.
 #pragma once
 
 #include <cstdint>
@@ -48,15 +52,27 @@ class ChannelAuditor final : public radio::NetworkAuditHook {
     std::size_t max_violations = 1024;
   };
 
+  /// Armed for one simulation on `g`, which must outlive the run.
   ChannelAuditor(const graph::Graph& g, const Options& opts);
+  /// Unarmed, with a report that keeps at most `max_violations`; rearm()
+  /// before the first event.
+  explicit ChannelAuditor(std::size_t max_violations) : report_(max_violations) {}
 
-  /// Re-arms the auditor for a fresh simulation on the same graph.
-  void reset();
+  /// Arms the auditor for a fresh simulation on `g` (which must outlive
+  /// that run) under `opts`. The report keeps what earlier runs found; its
+  /// cap stays the one fixed at construction.
+  void rearm(const graph::Graph& g, const Options& opts);
 
+  /// Shared with composing auditors, which add their own checks' findings.
+  AuditReport& report() { return report_; }
   const AuditReport& report() const { return report_; }
   bool clean() const { return report_.clean(); }
-  /// One-line human-readable summary ("clean" or first violation).
-  std::string summary() const;
+  std::string summary() const { return report_.summary(); }
+
+  /// The round most recently opened by on_transmissions.
+  radio::Round current_round() const { return current_round_; }
+  /// Whether the model says `v` is awake (valid once armed).
+  bool is_awake(radio::NodeId v) const { return awake_[v] != 0; }
 
   // --- radio::NetworkAuditHook ---
   void on_sim_start(const std::vector<radio::NodeId>& initially_awake) override;
@@ -87,7 +103,7 @@ class ChannelAuditor final : public radio::NetworkAuditHook {
     report_.add(round, node, check, std::move(detail));
   }
 
-  const graph::Graph& graph_;
+  const graph::Graph* graph_ = nullptr;
   Options opts_;
   AuditReport report_;
 

@@ -1,6 +1,19 @@
 #include "audit/violation.hpp"
 
+#include <sstream>
+
 namespace radiocast::audit {
+
+std::string AuditReport::summary() const {
+  if (clean()) return "clean";
+  std::ostringstream out;
+  out << total_ << " violation(s)";
+  if (violations_.empty()) return out.str();  // all dropped past a zero cap
+  const Violation& v = violations_.front();
+  out << "; first: " << v.check << " @round " << v.round
+      << " node " << v.node << " (" << v.detail << ")";
+  return out.str();
+}
 
 std::string json_escape(const std::string& s) {
   std::string out;

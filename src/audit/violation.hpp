@@ -43,6 +43,8 @@ class AuditReport {
   std::uint64_t total() const { return total_; }
   std::uint64_t dropped() const { return total_ - violations_.size(); }
   const std::vector<Violation>& violations() const { return violations_; }
+  /// One-line human-readable summary ("clean" or the first violation).
+  std::string summary() const;
 
   void clear() {
     violations_.clear();

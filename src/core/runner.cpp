@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "core/audit.hpp"
-#include "obs/packet_trace.hpp"
 #include "core/protocol.hpp"
 #include "core/schedule.hpp"
 #include "graph/algorithms.hpp"
+#include "obs/observer.hpp"
+#include "obs/packet_trace.hpp"
 #include "radio/network.hpp"
 #include "radio/protocol_slab.hpp"
 
@@ -122,18 +124,13 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
   radio::Network net(g);
   if (faults.reception_loss_probability > 0.0) net.set_fault_model(faults);
   if (collision_detection) net.enable_collision_detection(true);
-  net.set_observer(observer);
-  // The engine has one audit-hook slot; when both a model auditor and a
-  // packet tracer are requested they share it through a tee (stack-owned:
-  // it must outlive the network's last step, which ends with this call).
-  radio::AuditHookTee tee(auditor, tracer);
-  if (auditor != nullptr && tracer != nullptr) {
-    net.set_auditor(&tee);
-  } else if (tracer != nullptr) {
-    net.set_auditor(tracer);
-  } else {
-    net.set_auditor(auditor);
-  }
+  // Every requested sink goes on the engine tap (the round feed is
+  // stack-owned: it must outlive the network's last step, which ends with
+  // this call).
+  std::optional<obs::RoundFeed> feed;
+  if (auditor != nullptr) net.add_tap(auditor);
+  if (tracer != nullptr) net.add_tap(tracer);
+  if (observer != nullptr) net.add_tap(&feed.emplace(net, *observer));
   Rng master(seed);
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
     Rng child = master.split();

@@ -88,7 +88,8 @@ struct RunResult {
 /// optionally injects external interference (see radio::FaultModel).
 /// `observer`, when non-null, records the run's span tree (stages >
 /// collection phases > OSPG/MSPG/ALARM epochs) and labelled metrics; the
-/// runner wires it to the network and to the expected leader's protocol,
+/// runner feeds it per-round stats from the engine tap (obs::RoundFeed)
+/// and wires it to the expected leader's protocol,
 /// closes all spans at the end, and copies the metrics into the result.
 /// `auditor`, when non-null, gets begin_run before the network is built,
 /// every engine/protocol audit event during the run (the runner wires it
@@ -98,9 +99,10 @@ struct RunResult {
 /// (see radio::Network::enable_collision_detection).
 /// `tracer`, when non-null, records per-packet lifecycle telemetry (first
 /// receptions, decode rounds, flight paths — see obs/packet_trace.hpp);
-/// the runner arms it with the run's ground truth and placement and tees
-/// it with the auditor when both are present. Like the auditor it is
-/// read-only: a traced run is bit-identical to an untraced one.
+/// the runner arms it with the run's ground truth and placement. Like the
+/// auditor it is read-only: a traced run is bit-identical to an untraced
+/// one. Every non-null sink goes on the engine tap, in the order auditor,
+/// tracer, observer.
 /// Note: a run with zero packets returns vacuously without building a
 /// network, so the auditor and tracer are never invoked for it.
 RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,

@@ -385,6 +385,8 @@ void validate_scenario(const ScenarioSpec& s) {
     if (s.topology.family == "gnp") edges = s.topology.p * pairs;
     if (s.topology.family == "geometric")
       edges = pairs * std::min(1.0, std::numbers::pi * s.topology.radius * s.topology.radius);
+    edges = std::max(edges, static_cast<double>(graph::named_dense_edges(
+                                s.topology.family, s.topology.n)));
     if (edges > static_cast<double>(kMaxExpectedEdges))
       fail("topology expects about " + std::to_string(std::llround(edges)) +
            " edges, over the " + std::to_string(kMaxExpectedEdges) +

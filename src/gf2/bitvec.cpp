@@ -149,12 +149,6 @@ std::string BitVec::to_string() const {
   return s;
 }
 
-void BitVec::resize(std::size_t bits) {
-  words_.resize(word_count(bits), 0);
-  size_ = bits;
-  trim();  // shrinking within the last word leaves stale tail bits
-}
-
 void BitVec::trim() {
   const std::size_t extra = words_.size() * 64 - size_;
   if (extra > 0 && !words_.empty()) {

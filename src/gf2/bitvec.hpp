@@ -121,28 +121,9 @@ class BitVec {
   /// "0101..." rendering, bit 0 first.
   std::string to_string() const;
 
-  // --- word-span view -------------------------------------------------
-  //
-  // The span accessors expose the packed words directly; callers that
-  // write through the mutable span must call clear_excess_bits() before
-  // handing the vector back to bit-level code, since bits past size() in
-  // the last word are otherwise unspecified.
-
-  /// Number of 64-bit words backing the vector (= ceil(size/64)).
-  std::size_t num_words() const { return words_.size(); }
-
   /// The packed words, bit i of the vector at words()[i/64] >> (i%64).
   /// Storage is 64-byte aligned.
-  std::span<std::uint64_t> words() { return {words_.data(), words_.size()}; }
   std::span<const std::uint64_t> words() const { return {words_.data(), words_.size()}; }
-
-  /// Grows or shrinks to `bits`, zero-filling new bits and masking any
-  /// now-out-of-range tail bits.
-  void resize(std::size_t bits);
-
-  /// Clears any bits beyond size() in the last word. Required after word-
-  /// level writes through words() so ==, popcount, and ones stay honest.
-  void clear_excess_bits() { trim(); }
 
   static std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
 

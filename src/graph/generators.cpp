@@ -246,6 +246,13 @@ Graph make_barbell(NodeId clique, NodeId path_len) {
   return g;
 }
 
+namespace {
+
+/// Clique size of make_named's "barbell" shape.
+NodeId barbell_clique(NodeId n) { return std::max<NodeId>(3, n / 4); }
+
+}  // namespace
+
 NodeId named_min_nodes(const std::string& family) {
   return family == "barbell" ? 6 : 4;
 }
@@ -288,10 +295,21 @@ Graph make_named(const std::string& family, NodeId n, Rng& rng) {
   }
   if (family == "bounded_degree") return make_bounded_degree(n, 6, 0.5, rng);
   if (family == "barbell") {
-    const NodeId clique = std::max<NodeId>(3, n / 4);
+    const NodeId clique = barbell_clique(n);
     return make_barbell(clique, n - 2 * clique);
   }
   RC_ASSERT_MSG(false, ("unknown graph family: " + family).c_str());
+}
+
+std::uint64_t named_dense_edges(const std::string& family, NodeId n) {
+  const auto clique_edges = [](std::uint64_t c) { return c * (c - 1) / 2; };
+  if (family == "complete") return clique_edges(n);
+  if (family == "barbell") {
+    // Two cliques plus the path_len + 1 edges of the path joining them.
+    const NodeId clique = barbell_clique(n);
+    return 2 * clique_edges(clique) + (n - 2 * clique) + 1;
+  }
+  return 0;
 }
 
 const std::vector<std::string>& named_families() {

@@ -84,6 +84,11 @@ Graph make_named(const std::string& family, NodeId n, Rng& rng);
 /// 3-cliques), 4 for every other family.
 NodeId named_min_nodes(const std::string& family);
 
+/// Exact edge count of the graph make_named builds for the dense shapes
+/// "complete" and "barbell", computed without building it; 0 for every
+/// other family. Requires n >= named_min_nodes(family).
+std::uint64_t named_dense_edges(const std::string& family, NodeId n);
+
 /// The list of families make_named supports.
 const std::vector<std::string>& named_families();
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "radio/network.hpp"
 
 namespace radiocast::obs {
 
@@ -203,6 +204,45 @@ void RunObserver::on_collection_phase_end(std::uint64_t round, bool alarmed) {
 
 void RunObserver::finish(std::uint64_t end_round) {
   close_stage(end_round);
+}
+
+void RoundFeed::on_sim_start(const std::vector<radio::NodeId>&) {
+  // Fires before the engine counts the initial wakes, so they land in
+  // round 0's delta.
+  base_ = net_.trace().counters();
+}
+
+void RoundFeed::on_transmissions(radio::Round, const std::vector<radio::Message>&) {
+  // Wakes happen only in the reception phase, so this is the awake count
+  // the round's transmission decisions saw.
+  awake_ = static_cast<std::uint32_t>(net_.num_awake());
+}
+
+void RoundFeed::on_round_end(radio::Round round) {
+  const radio::TraceCounters& now = net_.trace().counters();
+  const auto delta = [](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint32_t>(a - b);
+  };
+  RoundStats stats;
+  stats.round = round;
+  stats.awake = awake_;
+  stats.transmissions = delta(now.transmissions, base_.transmissions);
+  stats.deliveries = delta(now.deliveries, base_.deliveries);
+  stats.collision_slots = delta(now.collision_slots, base_.collision_slots);
+  stats.deaf_slots = delta(now.deaf_slots, base_.deaf_slots);
+  stats.fault_drops = delta(now.fault_drops, base_.fault_drops);
+  stats.wakeups = delta(now.wakeups, base_.wakeups);
+  for (std::size_t i = 0; i < radio::kNumMessageKinds; ++i) {
+    tx_by_kind_[i] =
+        delta(now.transmissions_by_kind[i], base_.transmissions_by_kind[i]);
+    rx_by_kind_[i] = delta(now.deliveries_by_kind[i], base_.deliveries_by_kind[i]);
+  }
+  stats.num_kinds = radio::kNumMessageKinds;
+  stats.kind_names = radio::message_kind_names().data();
+  stats.transmissions_by_kind = tx_by_kind_.data();
+  stats.deliveries_by_kind = rx_by_kind_.data();
+  base_ = now;
+  observer_.on_round(stats);
 }
 
 }  // namespace radiocast::obs

@@ -2,9 +2,10 @@
 // run (core::run_kbroadcast) when observability is requested.
 //
 // Two producers feed it:
-//   * radio::Network::step calls on_round() once per round with that
-//     round's channel-activity deltas (allocation-free: the stats struct
-//     points into scratch arrays owned by the network);
+//   * RoundFeed (below), a sink on the engine's event tap, calls on_round()
+//     once per round with that round's channel-activity deltas
+//     (allocation-free: the stats struct points into scratch arrays owned
+//     by the feed);
 //   * the k-broadcast protocol state machines (on the expected leader
 //     node only — stage schedules are global, so one node's view is the
 //     run's view) call the on_stage / on_collection_* hooks at stage
@@ -16,11 +17,9 @@
 // per-epoch round counts sum to the run's total_rounds — and (b) labelled
 // metrics: per-stage round/transmission/delivery/collision counters split
 // by message kind, plus per-round activity histograms.
-//
-// This header depends only on metrics.hpp/recorder.hpp (std-only), so the
-// radio layer can include it without a dependency cycle.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -29,10 +28,16 @@
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "radio/audit_hook.hpp"
+#include "radio/trace.hpp"
+
+namespace radiocast::radio {
+class Network;
+}  // namespace radiocast::radio
 
 namespace radiocast::obs {
 
-/// One round's channel activity, reported by the simulation engine. The
+/// One round's channel activity, reported by RoundFeed. The
 /// per-kind arrays are parallel to `kind_names` and live in scratch owned
 /// by the caller — valid only for the duration of on_round().
 struct RoundStats {
@@ -217,6 +222,33 @@ class RunObserver {
   std::vector<Counter*> tx_by_kind_;
   std::vector<Counter*> rx_by_kind_;
   std::vector<std::string> kind_names_;
+};
+
+/// The RunObserver's engine-side producer: a sink on the network's event
+/// tap (radio::Network::add_tap) that calls on_round once per round, at
+/// on_round_end. Each RoundStats holds the network's counter deltas since
+/// the previous round end (since on_sim_start for round 0, so round 0's
+/// wakeups include the initial wakes) and the awake count when the round's
+/// transmissions were decided.
+class RoundFeed final : public radio::NetworkAuditHook {
+ public:
+  /// Both must outlive the feed's last event.
+  RoundFeed(const radio::Network& net, RunObserver& observer)
+      : net_(net), observer_(observer) {}
+
+  void on_sim_start(const std::vector<radio::NodeId>& initially_awake) override;
+  void on_transmissions(radio::Round round,
+                        const std::vector<radio::Message>& txs) override;
+  void on_round_end(radio::Round round) override;
+
+ private:
+  const radio::Network& net_;
+  RunObserver& observer_;
+  /// Counter values at the last round end; deltas are taken against these.
+  radio::TraceCounters base_;
+  std::uint32_t awake_ = 0;
+  std::array<std::uint32_t, radio::kNumMessageKinds> tx_by_kind_{};
+  std::array<std::uint32_t, radio::kNumMessageKinds> rx_by_kind_{};
 };
 
 }  // namespace radiocast::obs

@@ -1,9 +1,9 @@
-// PacketTracer — per-packet lifecycle telemetry over the engine audit tap.
+// PacketTracer — per-packet lifecycle telemetry over the engine tap.
 //
-// Installed as a radio::NetworkAuditHook (tee'd with the ModelAuditor when
-// both are requested, see core::run_kbroadcast), the tracer watches every
-// delivery of a run and reconstructs, for each message m and node v, the
-// round v first *held* m:
+// A sink on the engine tap (radio::Network::add_tap; core::run_kbroadcast
+// adds it after the auditor, when one is requested), the tracer watches
+// every delivery of a run and reconstructs, for each message m and node v,
+// the round v first *held* m:
 //
 //   * origin nodes hold their packets from round 0 (latency 0);
 //   * a DataMsg or PlainPacketMsg delivery carrying m hands it to the
@@ -23,7 +23,7 @@
 // answer "along which hops did m travel" — the flight path — as well as
 // produce per-packet delivery-latency vectors and LogHistograms.
 //
-// Contract (same as every audit hook): read-only, zero RNG draws, no
+// Contract (same as every tap sink): read-only, zero RNG draws, no
 // effect on the run. All state is a pure function of the deterministic
 // event stream, so traced outputs are reproducible byte-for-byte.
 #pragma once
@@ -83,17 +83,10 @@ class PacketTracer final : public radio::NetworkAuditHook {
   /// Marks `node` as holding packet `id` from round 0 (initial placement).
   void seed_packet(radio::PacketId id, radio::NodeId node);
 
-  // --- radio::NetworkAuditHook (only on_deliver carries information the
-  // tracer needs; the rest are no-ops) ---
-  void on_sim_start(const std::vector<radio::NodeId>&) override {}
-  void on_transmissions(radio::Round, const std::vector<radio::Message>&) override {}
+  // --- radio::NetworkAuditHook (only deliveries carry information the
+  // tracer needs) ---
   void on_deliver(radio::Round round, radio::NodeId receiver,
                   std::uint32_t tx_index, const radio::Message& msg) override;
-  void on_collision_slot(radio::Round, radio::NodeId, std::uint32_t, bool) override {}
-  void on_deaf_slot(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_fault_drop(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_node_wake(radio::Round, radio::NodeId) override {}
-  void on_round_end(radio::Round) override {}
 
   // --- Queries (valid after / during a trial) ---
   std::uint32_t num_nodes() const { return n_; }

@@ -1,16 +1,19 @@
-// NetworkAuditHook — the engine-side tap of the model-conformance auditor.
+// NetworkAuditHook — the engine's one event tap.
 //
-// A hook installed via Network::set_auditor sees, every round, the raw
+// Every sink added via Network::add_tap sees, every round, the raw
 // transmission set (after the engine collected all on_transmit decisions)
-// followed by one event per reception outcome the engine produced. The
-// hook is strictly an observer: it owns no RNG draws and cannot alter the
-// round, so an audited run is bit-identical to an unaudited one. When no
-// hook is installed the only per-round cost is a handful of null checks.
+// followed by one event per reception outcome the engine produced. Taps
+// fan out in attach order. A tap is strictly an observer: it owns no RNG
+// draws and cannot alter the round, so a tapped run is bit-identical to an
+// untapped one. With no tap attached each event site costs one emptiness
+// check.
 //
-// The intended consumer is audit::ModelAuditor, which recomputes every
-// outcome independently from the transmission set and the topology and
-// cross-checks the engine (see src/audit/). The interface lives in the
-// radio layer so the engine never depends on the audit subsystem.
+// Sinks: audit::ChannelAuditor (and audit::ModelAuditor, which owns one)
+// recompute every outcome independently from the transmission set and the
+// topology; obs::PacketTracer follows packets; obs::RoundFeed turns the
+// rounds into obs::RunObserver::on_round calls. Every method has an empty
+// default body, so a sink overrides only what it reads. The interface
+// lives in the radio layer so the engine never depends on its sinks.
 #pragma once
 
 #include <cstdint>
@@ -28,92 +31,45 @@ class NetworkAuditHook {
   /// Fired once, inside the first step() before any protocol callback,
   /// with the ids flagged by wake_at_start (ascending order not
   /// guaranteed). All other nodes are asleep at this point.
-  virtual void on_sim_start(const std::vector<NodeId>& initially_awake) = 0;
+  virtual void on_sim_start(const std::vector<NodeId>& /*initially_awake*/) {}
 
   /// The complete transmission set of round `round`, in ascending
   /// transmitter-id order, exactly as the engine will apply the collision
   /// rule to it. The vector is owned by the engine and valid until the
   /// end of the current step() only.
-  virtual void on_transmissions(Round round, const std::vector<Message>& txs) = 0;
+  virtual void on_transmissions(Round /*round*/, const std::vector<Message>& /*txs*/) {}
 
   /// Node `receiver` got `msg` delivered (`tx_index` indexes into this
   /// round's transmission set). Fired before the receiver's wake /
   /// on_receive callbacks.
-  virtual void on_deliver(Round round, NodeId receiver, std::uint32_t tx_index,
-                          const Message& msg) = 0;
+  virtual void on_deliver(Round /*round*/, NodeId /*receiver*/,
+                          std::uint32_t /*tx_index*/, const Message& /*msg*/) {}
 
   /// Node `receiver` was reached by `reached` >= 2 transmissions and lost
   /// the slot to collision. `cd_callback` reports whether the engine is
   /// about to fire on_collision (true only under the collision-detection
   /// ablation).
-  virtual void on_collision_slot(Round round, NodeId receiver, std::uint32_t reached,
-                                 bool cd_callback) = 0;
+  virtual void on_collision_slot(Round /*round*/, NodeId /*receiver*/,
+                                 std::uint32_t /*reached*/, bool /*cd_callback*/) {}
 
   /// Node `receiver` was reached while itself transmitting (half-duplex
   /// deafness; `reached` >= 1).
-  virtual void on_deaf_slot(Round round, NodeId receiver, std::uint32_t reached) = 0;
+  virtual void on_deaf_slot(Round /*round*/, NodeId /*receiver*/,
+                            std::uint32_t /*reached*/) {}
 
   /// A successful slot at `receiver` was erased by the fault model
   /// (`tx_index` is the transmission that would have been delivered).
-  virtual void on_fault_drop(Round round, NodeId receiver,
-                             std::uint32_t tx_index) = 0;
+  virtual void on_fault_drop(Round /*round*/, NodeId /*receiver*/,
+                             std::uint32_t /*tx_index*/) {}
 
   /// Node `node` transitions from asleep to awake this round (first
   /// reception, or first collision under the CD ablation). Initial wakes
   /// are reported via on_sim_start, not here.
-  virtual void on_node_wake(Round round, NodeId node) = 0;
+  virtual void on_node_wake(Round /*round*/, NodeId /*node*/) {}
 
-  /// All outcomes of round `round` have been reported.
-  virtual void on_round_end(Round round) = 0;
-};
-
-/// Fan-out: forwards every event to two hooks, in construction order. The
-/// engine has exactly one auditor slot (one null check on the hot path);
-/// composing sinks — e.g. a ModelAuditor plus an obs::PacketTracer — is
-/// the tee's job, not the engine's. Both hooks may be null.
-class AuditHookTee final : public NetworkAuditHook {
- public:
-  AuditHookTee(NetworkAuditHook* first, NetworkAuditHook* second)
-      : first_(first), second_(second) {}
-
-  void on_sim_start(const std::vector<NodeId>& initially_awake) override {
-    if (first_ != nullptr) first_->on_sim_start(initially_awake);
-    if (second_ != nullptr) second_->on_sim_start(initially_awake);
-  }
-  void on_transmissions(Round round, const std::vector<Message>& txs) override {
-    if (first_ != nullptr) first_->on_transmissions(round, txs);
-    if (second_ != nullptr) second_->on_transmissions(round, txs);
-  }
-  void on_deliver(Round round, NodeId receiver, std::uint32_t tx_index,
-                  const Message& msg) override {
-    if (first_ != nullptr) first_->on_deliver(round, receiver, tx_index, msg);
-    if (second_ != nullptr) second_->on_deliver(round, receiver, tx_index, msg);
-  }
-  void on_collision_slot(Round round, NodeId receiver, std::uint32_t reached,
-                         bool cd_callback) override {
-    if (first_ != nullptr) first_->on_collision_slot(round, receiver, reached, cd_callback);
-    if (second_ != nullptr) second_->on_collision_slot(round, receiver, reached, cd_callback);
-  }
-  void on_deaf_slot(Round round, NodeId receiver, std::uint32_t reached) override {
-    if (first_ != nullptr) first_->on_deaf_slot(round, receiver, reached);
-    if (second_ != nullptr) second_->on_deaf_slot(round, receiver, reached);
-  }
-  void on_fault_drop(Round round, NodeId receiver, std::uint32_t tx_index) override {
-    if (first_ != nullptr) first_->on_fault_drop(round, receiver, tx_index);
-    if (second_ != nullptr) second_->on_fault_drop(round, receiver, tx_index);
-  }
-  void on_node_wake(Round round, NodeId node) override {
-    if (first_ != nullptr) first_->on_node_wake(round, node);
-    if (second_ != nullptr) second_->on_node_wake(round, node);
-  }
-  void on_round_end(Round round) override {
-    if (first_ != nullptr) first_->on_round_end(round);
-    if (second_ != nullptr) second_->on_round_end(round);
-  }
-
- private:
-  NetworkAuditHook* first_;
-  NetworkAuditHook* second_;
+  /// All outcomes of round `round` have been reported and the round's
+  /// counters are flushed.
+  virtual void on_round_end(Round /*round*/) {}
 };
 
 }  // namespace radiocast::radio

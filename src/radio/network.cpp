@@ -1,6 +1,7 @@
 #include "radio/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -76,10 +77,10 @@ void Network::enable_collision_detection(bool on) {
   collision_detection_ = on;
 }
 
-void Network::set_auditor(NetworkAuditHook* auditor) {
-  RC_ASSERT_MSG(!started_ || auditor == nullptr,
-                "set_auditor after the simulation started");
-  auditor_ = auditor;
+void Network::add_tap(NetworkAuditHook* tap) {
+  RC_ASSERT(tap != nullptr);
+  RC_ASSERT_MSG(!started_, "add_tap after the simulation started");
+  taps_.push_back(tap);
 }
 
 void Network::set_test_mutations(const EngineMutations& mutations) {
@@ -94,50 +95,15 @@ void Network::wake(NodeId id) {
     awake_list_dirty_ = true;
     next_active_[id] = 0;
     ++trace_.counters().wakeups;
-    if (auditor_ != nullptr) auditor_->on_node_wake(round_, id);
+    for (NetworkAuditHook* tap : taps_) tap->on_node_wake(round_, id);
     protocols_[id]->on_wake(round_);
   }
 }
 
-void Network::report_round(std::uint64_t round) {
-  const TraceCounters& now = trace_.counters();
-  obs::RoundStats stats;
-  stats.round = round;
-  stats.awake = round_awake_base_;
-  stats.transmissions =
-      static_cast<std::uint32_t>(now.transmissions - round_base_.transmissions);
-  stats.deliveries =
-      static_cast<std::uint32_t>(now.deliveries - round_base_.deliveries);
-  stats.collision_slots =
-      static_cast<std::uint32_t>(now.collision_slots - round_base_.collision_slots);
-  stats.deaf_slots =
-      static_cast<std::uint32_t>(now.deaf_slots - round_base_.deaf_slots);
-  stats.fault_drops =
-      static_cast<std::uint32_t>(now.fault_drops - round_base_.fault_drops);
-  stats.wakeups = static_cast<std::uint32_t>(now.wakeups - round_base_.wakeups);
-  for (std::size_t i = 0; i < kNumMessageKinds; ++i) {
-    round_tx_by_kind_[i] = static_cast<std::uint32_t>(
-        now.transmissions_by_kind[i] - round_base_.transmissions_by_kind[i]);
-    round_rx_by_kind_[i] = static_cast<std::uint32_t>(
-        now.deliveries_by_kind[i] - round_base_.deliveries_by_kind[i]);
-  }
-  stats.num_kinds = kNumMessageKinds;
-  stats.kind_names = message_kind_names().data();
-  stats.transmissions_by_kind = round_tx_by_kind_.data();
-  stats.deliveries_by_kind = round_rx_by_kind_.data();
-  observer_->on_round(stats);
-}
-
 void Network::step() {
-  if (observer_ != nullptr) {
-    round_base_ = trace_.counters();
-    // Initially-awake nodes are already in awake_list_ (wake_at_start),
-    // so this is the awake count Phase 1 will see even on round 0.
-    round_awake_base_ = static_cast<std::uint32_t>(awake_list_.size());
-  }
   if (!started_) {
     started_ = true;
-    if (auditor_ != nullptr) auditor_->on_sim_start(pending_initial_wakes_);
+    for (NetworkAuditHook* tap : taps_) tap->on_sim_start(pending_initial_wakes_);
     for (NodeId id : pending_initial_wakes_) {
       ++trace_.counters().wakeups;
       protocols_[id]->on_wake(round_);
@@ -152,8 +118,7 @@ void Network::step() {
 
   round_scalar();
 
-  if (auditor_ != nullptr) auditor_->on_round_end(round_);
-  if (observer_ != nullptr) report_round(round_);
+  for (NetworkAuditHook* tap : taps_) tap->on_round_end(round_);
   ++round_;
   ++trace_.counters().rounds;
 }
@@ -220,7 +185,7 @@ void Network::round_scalar() {
       c.transmissions_by_kind[k] += tx_kind_acc[k];
     }
   }
-  if (auditor_ != nullptr) auditor_->on_transmissions(round_, transmissions_);
+  for (NetworkAuditHook* tap : taps_) tap->on_transmissions(round_, transmissions_);
 
   // Phase 2: compute, per node, how many transmissions reached it. The
   // loop is branchless: whether a neighbor is newly touched is a random,
@@ -276,6 +241,9 @@ void Network::round_scalar() {
     Round* const next_active = next_active_.data();
     const Message* const txs = transmissions_.data();
     const TxMeta* const tx_meta = tx_meta_.data();
+    // Taps are fixed once the simulation started; the hoisted flag keeps
+    // each untapped event site below at one test of a local.
+    const bool tapped = !taps_.empty();
     std::uint64_t deliveries_acc = 0;
     std::uint64_t bits_rx_acc = 0;
     std::uint64_t collision_acc = 0;
@@ -305,7 +273,9 @@ void Network::round_scalar() {
           trace_.record({round_, v, TraceEvent::Kind::kDelivered,
                          message_kind(tx.body), tx.from});
         }
-        if (auditor_ != nullptr) auditor_->on_deliver(round_, v, source, tx);
+        if (tapped) {
+          for (NetworkAuditHook* tap : taps_) tap->on_deliver(round_, v, source, tx);
+        }
         if (!mutations_.skip_wake_on_receive && !awake_[v]) wake(v);
         next_active[v] = 0;
         protocols[v]->on_receive(round_, tx);
@@ -314,15 +284,19 @@ void Network::round_scalar() {
       if (transmitting[v]) {
         ++deaf_acc;
         if (events) trace_.record({round_, v, TraceEvent::Kind::kDeaf, {}, 0});
-        if (auditor_ != nullptr) auditor_->on_deaf_slot(round_, v, reached);
+        if (tapped) {
+          for (NetworkAuditHook* tap : taps_) tap->on_deaf_slot(round_, v, reached);
+        }
         if (mutations_.deliver_while_transmitting) deliver(slot.source);
         continue;
       }
       if (reached >= 2) {
         ++collision_acc;
         if (events) trace_.record({round_, v, TraceEvent::Kind::kCollision, {}, 0});
-        if (auditor_ != nullptr) {
-          auditor_->on_collision_slot(round_, v, reached, collision_detection_);
+        if (tapped) {
+          for (NetworkAuditHook* tap : taps_) {
+            tap->on_collision_slot(round_, v, reached, collision_detection_);
+          }
         }
         if (collision_detection_) {
           wake(v);
@@ -335,7 +309,9 @@ void Network::round_scalar() {
       if (faults_on && fault_rng_.next_bool(fault_model_.reception_loss_probability)) {
         // Injected interference: the receiver observes silence.
         ++fault_acc;
-        if (auditor_ != nullptr) auditor_->on_fault_drop(round_, v, slot.source);
+        if (tapped) {
+          for (NetworkAuditHook* tap : taps_) tap->on_fault_drop(round_, v, slot.source);
+        }
         continue;
       }
       deliver(slot.source);

@@ -11,16 +11,18 @@
 // Awake nodes are asked for a transmission decision every round, except
 // that the engine skips a node's on_transmit in the rounds before the
 // idle-skipping hint it published (NodeProtocol::set_next_active_round).
+//
+// Everything that watches a run — the model auditors, the packet tracer,
+// the flight recorder's round feed — is a sink on one event tap
+// (add_tap, radio/audit_hook.hpp); the engine knows no sink type.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
-#include "obs/observer.hpp"
 #include "radio/audit_hook.hpp"
 #include "radio/node.hpp"
 #include "radio/payload_arena.hpp"
@@ -131,21 +133,12 @@ class Network {
   Trace& trace() { return trace_; }
   const Trace& trace() const { return trace_; }
 
-  /// Attaches a flight-recorder sink (nullptr detaches). When attached,
-  /// step() reports every round's channel-activity deltas via
-  /// obs::RunObserver::on_round; when detached the only per-round cost is
-  /// one branch. The observer must outlive the network (or be detached).
-  void set_observer(obs::RunObserver* observer) { observer_ = observer; }
-  obs::RunObserver* observer() const { return observer_; }
-
-  /// Attaches a model-conformance auditor (nullptr detaches). The hook
-  /// sees the raw transmission set and every reception outcome of every
-  /// round (see radio/audit_hook.hpp); it is read-only, so an audited run
-  /// is bit-identical to an unaudited one. Must be attached before the
-  /// first step so the auditor sees the initial wake set; must outlive
-  /// the network (or be detached).
-  void set_auditor(NetworkAuditHook* auditor);
-  NetworkAuditHook* auditor() const { return auditor_; }
+  /// Adds a sink to the engine's event tap (see radio/audit_hook.hpp);
+  /// every event fans out to the taps in attach order. Taps are read-only,
+  /// so a tapped run is bit-identical to an untapped one. Must be called
+  /// before the first step, so every tap sees the initial wake set; a tap
+  /// must outlive the network.
+  void add_tap(NetworkAuditHook* tap);
 
   /// Installs test-only engine mutations (see EngineMutations). Must be
   /// called before the first step.
@@ -155,8 +148,6 @@ class Network {
   void wake(NodeId id);
   /// One round: transmit decisions, reach counting, deliveries.
   void round_scalar();
-  /// Fills round_stats_ with this round's deltas and feeds the observer.
-  void report_round(std::uint64_t round);
   /// Advances the completion counter past newly-done protocols; returns
   /// true iff all protocols are done (see done_count_ below).
   bool advance_done_count();
@@ -206,17 +197,8 @@ class Network {
   bool collision_detection_ = false;
   EngineMutations mutations_;
 
-  obs::RunObserver* observer_ = nullptr;
-  NetworkAuditHook* auditor_ = nullptr;
-  /// Counter values at the start of the current round; the per-round
-  /// deltas reported to the observer are computed against these.
-  TraceCounters round_base_;
-  /// Awake-node count when the round's transmissions were decided.
-  std::uint32_t round_awake_base_ = 0;
-  /// Scratch per-kind delta arrays pointed to by the RoundStats we pass
-  /// to the observer (keeps on_round allocation-free).
-  std::array<std::uint32_t, kNumMessageKinds> round_tx_by_kind_{};
-  std::array<std::uint32_t, kNumMessageKinds> round_rx_by_kind_{};
+  /// The event tap's sinks, in attach order (see add_tap).
+  std::vector<NetworkAuditHook*> taps_;
 
   // Scratch buffers reused across rounds to avoid per-round allocation
   // (all sized/reserved in the constructor so the first round allocates

@@ -47,7 +47,7 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
     audit::ChannelAuditor::Options opts;
     opts.expect_all_awake = true;  // the dynamic setting: everyone is on
     auditor = std::make_unique<audit::ChannelAuditor>(g, opts);
-    net.set_auditor(auditor.get());
+    net.add_tap(auditor.get());
   }
 
   StreamEvents events;

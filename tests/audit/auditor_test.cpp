@@ -4,6 +4,9 @@
 // attachment rules fail loudly when misused.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "audit/corpus.hpp"
 #include "audit/model_auditor.hpp"
 #include "core/montecarlo.hpp"
@@ -109,16 +112,28 @@ TEST(ModelAuditor, MonteCarloSweepWiresPerTrialAuditors) {
   }
 }
 
+/// Never transmits; enough to step a network.
+struct SilentNode final : radio::NodeProtocol {
+  std::optional<radio::MessageBody> on_transmit(radio::Round) override {
+    return std::nullopt;
+  }
+  void on_receive(radio::Round, const radio::Message&) override {}
+};
+
 TEST(ModelAuditor, NetworkAttachmentRules) {
+  // Sinks join the engine tap before the first step, so each one sees the
+  // initial wake set; adding one later fails loudly.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const graph::Graph g = graph::make_path(2);
   radio::Network net(g);
-  EXPECT_EQ(net.auditor(), nullptr);
-
+  for (radio::NodeId v = 0; v < 2; ++v) {
+    net.set_protocol(v, std::make_unique<SilentNode>());
+  }
+  radio::NetworkAuditHook idle;  // every event has an empty default body
+  net.add_tap(&idle);
+  net.step();
   audit::ModelAuditor auditor;
-  net.set_auditor(&auditor);
-  EXPECT_EQ(net.auditor(), &auditor);
-  net.set_auditor(nullptr);
-  EXPECT_EQ(net.auditor(), nullptr);
+  EXPECT_DEATH(net.add_tap(&auditor), "add_tap after the simulation started");
 }
 
 }  // namespace

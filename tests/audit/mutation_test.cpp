@@ -1,15 +1,19 @@
 // Seeded-bug detection: each test compiles one deliberate engine or
 // protocol bug behind the test-mutation hooks (radio::EngineMutations /
 // core::KBroadcastNode::TestMutations) and asserts that the ModelAuditor
-// flags it with the expected check. A control run with every mutation off
-// audits clean — so these tests pin both directions: the auditor catches
-// real model violations and does not cry wolf.
+// flags it with the expected check. The engine bugs are also run past a
+// bare ChannelAuditor on the same network — the radio-model checker the
+// stream driver attaches — which must flag the same radio.* check. A
+// control run with every mutation off audits clean — so these tests pin
+// both directions: the auditors catch real model violations and do not cry
+// wolf.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "audit/channel_auditor.hpp"
 #include "audit/model_auditor.hpp"
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
@@ -30,10 +34,11 @@ struct Mutations {
 /// Mirrors core::run_kbroadcast's wiring, plus the mutation hooks that the
 /// production runner (deliberately) does not expose. Completion/timeout is
 /// recomputed here exactly as the runner does, so end_run's result checks
-/// stay meaningful.
+/// stay meaningful. A non-null `channel` joins the tap after the auditor.
 void run_mutated(const graph::Graph& g, const core::Placement& placement,
                  std::uint64_t seed, const Mutations& mut,
-                 audit::ModelAuditor& auditor, std::uint64_t max_rounds = 0) {
+                 audit::ModelAuditor& auditor, std::uint64_t max_rounds = 0,
+                 audit::ChannelAuditor* channel = nullptr) {
   core::KBroadcastConfig cfg;
   cfg.know = radio::Knowledge::exact(g);
   const core::ResolvedConfig rc = core::resolve(cfg);
@@ -44,7 +49,8 @@ void run_mutated(const graph::Graph& g, const core::Placement& placement,
 
   radio::Network net(g);
   net.set_test_mutations(mut.engine);
-  net.set_auditor(&auditor);
+  net.add_tap(&auditor);
+  if (channel != nullptr) net.add_tap(channel);
   Rng master(seed);
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
     Rng child = master.split();
@@ -80,11 +86,15 @@ void run_mutated(const graph::Graph& g, const core::Placement& placement,
   auditor.end_run(net, result);
 }
 
-bool flagged(const audit::ModelAuditor& auditor, const std::string& check) {
-  for (const audit::Violation& v : auditor.report().violations()) {
+bool flagged(const audit::AuditReport& report, const std::string& check) {
+  for (const audit::Violation& v : report.violations()) {
     if (v.check == check) return true;
   }
   return false;
+}
+
+bool flagged(const audit::ModelAuditor& auditor, const std::string& check) {
+  return flagged(auditor.report(), check);
 }
 
 core::Placement dense_placement(const graph::Graph& g, std::uint32_t k,
@@ -110,11 +120,14 @@ TEST(AuditorMutations, DeliverOnCollisionIsFlagged) {
   Mutations mut;
   mut.engine.deliver_on_collision = true;
   audit::ModelAuditor auditor;
+  audit::ChannelAuditor channel(g, {});
   run_mutated(g, dense_placement(g, 6, 50), 3, mut, auditor,
-              /*max_rounds=*/20000);
+              /*max_rounds=*/20000, &channel);
   EXPECT_FALSE(auditor.clean());
   EXPECT_TRUE(flagged(auditor, "radio.deliver_on_collision"))
       << auditor.summary();
+  EXPECT_TRUE(flagged(channel.report(), "radio.deliver_on_collision"))
+      << channel.summary();
 }
 
 // Seeded engine bug #2: deliver to a node that is itself transmitting.
@@ -125,11 +138,14 @@ TEST(AuditorMutations, DeliverWhileTransmittingIsFlagged) {
   Mutations mut;
   mut.engine.deliver_while_transmitting = true;
   audit::ModelAuditor auditor;
+  audit::ChannelAuditor channel(g, {});
   run_mutated(g, dense_placement(g, 8, 51), 4, mut, auditor,
-              /*max_rounds=*/20000);
+              /*max_rounds=*/20000, &channel);
   EXPECT_FALSE(auditor.clean());
   EXPECT_TRUE(flagged(auditor, "radio.deliver_while_transmitting"))
       << auditor.summary();
+  EXPECT_TRUE(flagged(channel.report(), "radio.deliver_while_transmitting"))
+      << channel.summary();
 }
 
 // Seeded engine bug #3: receive without waking. Breaks wake-on-first-
@@ -142,9 +158,12 @@ TEST(AuditorMutations, SkipWakeOnReceiveIsFlagged) {
   Rng prng(52);
   const core::Placement placement = core::make_placement(
       16, 3, core::PlacementMode::kSingleSource, 16, prng);
-  run_mutated(g, placement, 5, mut, auditor, /*max_rounds=*/5000);
+  audit::ChannelAuditor channel(g, {});
+  run_mutated(g, placement, 5, mut, auditor, /*max_rounds=*/5000, &channel);
   EXPECT_FALSE(auditor.clean());
   EXPECT_TRUE(flagged(auditor, "radio.wake_on_reception")) << auditor.summary();
+  EXPECT_TRUE(flagged(channel.report(), "radio.wake_on_reception"))
+      << channel.summary();
 }
 
 // Seeded protocol bug #1: a relay silently skips its Stage-2 BFS

@@ -1,19 +1,25 @@
 // PacketTracer cross-check on the pinned audit corpus: every corpus case
-// is run untraced, traced (tee'd with a ModelAuditor), and traced again.
-// The auditor independently re-derives every reception the tracer consumes,
-// so a clean teed run certifies the tracer's event stream; on top of that
-// the traced results must be bit-identical to the untraced run (tracing is
-// read-only), the tracer's first-hold records must be self-consistent with
-// the run result, and the flight log must replay identically.
+// is run untraced, traced (beside a ModelAuditor on the engine tap), and
+// traced again. The auditor independently re-derives every reception the
+// tracer consumes, so a clean audited run certifies the tracer's event
+// stream; on top of that the traced results must be bit-identical to the
+// untraced run (tracing is read-only), the tracer's first-hold records must
+// be self-consistent with the run result, and the flight log must replay
+// identically. A last run puts all three sinks on the tap at once (auditor,
+// tracer, observer): each must see exactly what it sees alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "audit/corpus.hpp"
 #include "audit/model_auditor.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "obs/export.hpp"
+#include "obs/observer.hpp"
 #include "obs/packet_trace.hpp"
 
 namespace radiocast::audit {
@@ -32,6 +38,14 @@ std::uint32_t index_of(const std::vector<radio::Packet>& truth,
       [](const radio::Packet& p, radio::PacketId v) { return p.id < v; });
   EXPECT_TRUE(it != truth.end() && it->id == id);
   return static_cast<std::uint32_t>(it - truth.begin());
+}
+
+/// The observer's span tree and metrics, as written to telemetry.
+std::string observer_jsonl(const obs::RunObserver& observer,
+                           const core::RunResult& result) {
+  std::ostringstream out;
+  obs::write_run_jsonl(out, observer, result.total_rounds);
+  return out.str();
 }
 
 bool same_flight_logs(const std::vector<FlightEvent>& a,
@@ -138,6 +152,24 @@ TEST(PacketTraceCorpus, TracerAgreesWithAuditorOnEveryCase) {
     EXPECT_TRUE(results_identical(plain, again));
     EXPECT_TRUE(same_flight_logs(tracer.flight_events(), replay.flight_events()))
         << "flight log not deterministic";
+
+    // Fan-out: observer, auditor and tracer on one tap.
+    obs::RunObserver observer_only;
+    const core::RunResult observed =
+        core::run_kbroadcast(g, cfg, placement, c.run_seed, /*max_rounds=*/0,
+                             faults, &observer_only, /*auditor=*/nullptr,
+                             c.collision_detection);
+    obs::RunObserver all_observer;
+    ModelAuditor all_auditor;
+    obs::PacketTracer all_tracer;
+    const core::RunResult all =
+        core::run_kbroadcast(g, cfg, placement, c.run_seed, /*max_rounds=*/0,
+                             faults, &all_observer, &all_auditor,
+                             c.collision_detection, &all_tracer);
+    EXPECT_TRUE(results_identical(plain, all));
+    EXPECT_TRUE(same_flight_logs(replay.flight_events(), all_tracer.flight_events()));
+    EXPECT_EQ(observer_jsonl(observer_only, observed), observer_jsonl(all_observer, all));
+    EXPECT_TRUE(all_auditor.clean()) << all_auditor.summary();
   }
 }
 

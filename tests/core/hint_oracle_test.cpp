@@ -177,7 +177,7 @@ class Run {
       : c_(c), rc_(resolve(c.cfg)), slab_(c.g.num_nodes()), net_(c.g) {
     if (c.faults.reception_loss_probability > 0.0) net_.set_fault_model(c.faults);
     if (c.collision_detection) net_.enable_collision_detection(true);
-    net_.set_auditor(&fingerprint_);
+    net_.add_tap(&fingerprint_);
     if (!hinted) wrappers_.reserve(c.g.num_nodes());
     Rng master(c.seed);
     for (radio::NodeId v = 0; v < c.g.num_nodes(); ++v) {
@@ -460,7 +460,7 @@ struct DynamicCase {
 class DynamicRun {
  public:
   DynamicRun(const DynamicCase& c, bool hinted) : c_(c), net_(c.g) {
-    net_.set_auditor(&fingerprint_);
+    net_.add_tap(&fingerprint_);
     const radio::NodeId n = c.g.num_nodes();
     wrappers_.reserve(n);
     Rng master(c.cfg.seed);

@@ -132,6 +132,19 @@ TEST(Cli, OversizedTopologyPreflightFailsBeforeRunning) {
   EXPECT_FALSE(std::filesystem::exists(dir + "/dense.results.json"));
 }
 
+TEST(Cli, DenseNamedShapePreflightFailsBeforeRunning) {
+  const std::string dir = temp_dir("cli_dense_named");
+  const std::string path = dir + "/c.json";
+  write_file(path, R"({"id":"c","topology":{"family":"complete","n":100000},"k":[4]})");
+  for (const CliRun& r :
+       {run_cli({"validate", path}), run_cli({"run", path, "--out", dir, "--quiet"})}) {
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("topology expects about 4999950000 edges"), std::string::npos)
+        << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/c.results.json"));
+}
+
 TEST(Cli, RetiredBitsetEngineIsRefused) {
   const std::string dir = temp_dir("cli_engine");
   const std::string path = dir + "/bitset.json";

@@ -256,6 +256,31 @@ TEST(Scenario, RejectsTopologiesWithTooManyExpectedEdges) {
             "");
 }
 
+TEST(Scenario, RejectsDenseNamedShapesOverTheEdgeLimit) {
+  const auto error = [](const std::string& family, std::uint32_t n) {
+    try {
+      parse_scenario(R"({"id":"x","topology":{"family":")" + family +
+                     R"(","n":)" + std::to_string(n) + "}}");
+    } catch (const JsonError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // complete: n(n-1)/2 edges; n = 46341 fits 2^30, n = 46342 does not.
+  const std::string complete = error("complete", 100000);
+  EXPECT_NE(complete.find("topology expects about 4999950000 edges"), std::string::npos)
+      << complete;
+  EXPECT_EQ(error("complete", 46341), "");
+  EXPECT_NE(error("complete", 46342), "");
+  // barbell: two cliques of n/4 plus the joining path. n = 131071 builds
+  // 1073709060 edges, n = 131072 builds 1073774593 > 2^30.
+  EXPECT_EQ(error("barbell", 100000), "");
+  EXPECT_EQ(error("barbell", 131071), "");
+  const std::string barbell = error("barbell", 131072);
+  EXPECT_NE(barbell.find("topology expects about 1073774593 edges"), std::string::npos)
+      << barbell;
+}
+
 TEST(Scenario, SeedGridIsPureFunctionOfSeedBase) {
   const ScenarioSpec s = parse_scenario(R"({"id": "x", "seed_base": 1000})");
   // Formulas are pinned to the historical bench_util ones.

@@ -170,37 +170,6 @@ TEST(BitVec, FindSingleBit) {
   EXPECT_EQ(BitVec::from_bits(256, {10, 200}).find_single_bit(), std::nullopt);
 }
 
-TEST(BitVec, ResizePreservesPrefixAndMasksTail) {
-  BitVec v = BitVec::from_bits(100, {0, 50, 99});
-  v.resize(160);
-  EXPECT_EQ(v.size(), 160u);
-  EXPECT_EQ(v.ones(), (std::vector<std::size_t>{0, 50, 99}));
-
-  v.resize(51);
-  EXPECT_EQ(v.size(), 51u);
-  EXPECT_EQ(v.ones(), (std::vector<std::size_t>{0, 50}));
-  // Shrink then regrow: the truncated bits must not resurface.
-  v.resize(100);
-  EXPECT_EQ(v.ones(), (std::vector<std::size_t>{0, 50}));
-}
-
-TEST(BitVec, WordSpanRoundTripsWithClearExcessBits) {
-  BitVec v(70);
-  ASSERT_EQ(v.num_words(), 2u);
-  v.words()[0] = ~0ULL;
-  v.words()[1] = ~0ULL;  // sets bits 64..127, of which only 64..69 exist
-  v.clear_excess_bits();
-  EXPECT_EQ(v.popcount(), 70u);
-  EXPECT_EQ(v.highest_set_bit(), 69u);
-  BitVec expect(70);
-  for (std::size_t i = 0; i < 70; ++i) expect.set(i, true);
-  EXPECT_EQ(v, expect);
-
-  const BitVec& cv = v;
-  EXPECT_EQ(cv.words()[0], ~0ULL);
-  EXPECT_EQ(cv.words()[1], (1ULL << 6) - 1);
-}
-
 TEST(BitVec, WordStorageIsCacheAligned) {
   BitVec v(512);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.words().data()) % 64, 0u);

@@ -126,6 +126,9 @@ TEST_P(FamilyInvariants, ConnectedRightSizeNoSelfLoops) {
     EXPECT_TRUE(is_connected(g)) << GetParam() << " n=" << n;
     EXPECT_GE(g.num_nodes(), n / 2) << GetParam();  // families may round shape
     EXPECT_GE(g.num_edges(), g.num_nodes() - 1) << GetParam();
+    // The pre-flight's exact count for the dense shapes (0 = not dense).
+    const std::uint64_t dense = named_dense_edges(GetParam(), n);
+    if (dense != 0) EXPECT_EQ(g.num_edges(), dense) << GetParam() << " n=" << n;
     for (const auto& [u, v] : g.edges()) EXPECT_NE(u, v);
   }
 }
